@@ -3,7 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use ddsc_isa::OpType;
+use ddsc_isa::{OpType, OperandKind, PatClass};
+use ddsc_util::codec::{Reader, WireError};
 use ddsc_util::stats::Percent;
 
 use crate::expr::MAX_MEMBERS;
@@ -56,7 +57,7 @@ impl PatternKey {
         out.push(self.len);
         for t in self.types() {
             out.push(t.class().code());
-            let kinds: Vec<ddsc_isa::OperandKind> = t.kinds().collect();
+            let kinds: Vec<OperandKind> = t.kinds().collect();
             out.push(kinds.len() as u8);
             for k in kinds {
                 out.push(k.code());
@@ -64,30 +65,34 @@ impl PatternKey {
         }
     }
 
-    /// Decodes a key from `bytes` at `*pos`, advancing past it. `None`
-    /// on truncation or out-of-range codes/lengths.
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Option<PatternKey> {
-        let len = *bytes.get(*pos)? as usize;
-        *pos += 1;
-        if len > MAX_MEMBERS {
-            return None;
+    /// Decodes a key written by [`PatternKey::encode_to`].
+    ///
+    /// # Errors
+    ///
+    /// Truncation, an out-of-range member or operand count
+    /// ([`WireError::BadLength`]), or an unknown class or operand-kind
+    /// code ([`WireError::UnknownKind`]).
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<PatternKey, WireError> {
+        let len = r.u8()?;
+        if usize::from(len) > MAX_MEMBERS {
+            return Err(WireError::BadLength(len.into()));
         }
-        let mut types = Vec::with_capacity(len);
+        let mut types = Vec::with_capacity(usize::from(len));
         for _ in 0..len {
-            let class = ddsc_isa::PatClass::from_code(*bytes.get(*pos)?)?;
-            let nkinds = *bytes.get(*pos + 1)? as usize;
-            *pos += 2;
+            let code = r.u8()?;
+            let class = PatClass::from_code(code).ok_or(WireError::UnknownKind(code))?;
+            let nkinds = r.u8()?;
             if nkinds > 2 {
-                return None;
+                return Err(WireError::BadLength(nkinds.into()));
             }
-            let mut kinds = Vec::with_capacity(nkinds);
+            let mut kinds = Vec::with_capacity(usize::from(nkinds));
             for _ in 0..nkinds {
-                kinds.push(ddsc_isa::OperandKind::from_code(*bytes.get(*pos)?)?);
-                *pos += 1;
+                let code = r.u8()?;
+                kinds.push(OperandKind::from_code(code).ok_or(WireError::UnknownKind(code))?);
             }
             types.push(OpType::new(class, &kinds));
         }
-        Some(PatternKey::new(&types))
+        Ok(PatternKey::new(&types))
     }
 }
 
@@ -190,21 +195,19 @@ impl PatternTable {
         }
     }
 
-    /// Decodes a table from `bytes` at `*pos`, advancing past it.
-    /// `None` on truncation or malformed keys.
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Option<PatternTable> {
-        let total = u64::from_le_bytes(bytes.get(*pos..*pos + 8)?.try_into().ok()?);
-        *pos += 8;
-        let n = u32::from_le_bytes(bytes.get(*pos..*pos + 4)?.try_into().ok()?) as usize;
-        *pos += 4;
+    /// Decodes a table written by [`PatternTable::encode_to`].
+    ///
+    /// # Errors
+    ///
+    /// Truncation or a malformed key (see [`PatternKey::decode_from`]).
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<PatternTable, WireError> {
+        let total = r.u64()?;
         let mut counts = BTreeMap::new();
-        for _ in 0..n {
-            let key = PatternKey::decode(bytes, pos)?;
-            let count = u64::from_le_bytes(bytes.get(*pos..*pos + 8)?.try_into().ok()?);
-            *pos += 8;
-            counts.insert(key, count);
+        for _ in 0..r.u32()? {
+            let key = PatternKey::decode_from(r)?;
+            counts.insert(key, r.u64()?);
         }
-        Some(PatternTable { counts, total })
+        Ok(PatternTable { counts, total })
     }
 }
 
@@ -297,20 +300,20 @@ mod tests {
         table.record(PatternKey::new(&[arri(), arri(), brc()]));
         let mut bytes = Vec::new();
         table.encode_to(&mut bytes);
-        let mut pos = 0;
-        let back = PatternTable::decode(&bytes, &mut pos).unwrap();
-        assert_eq!(back, table);
-        assert_eq!(pos, bytes.len());
+        let mut r = Reader::new(&bytes);
+        assert_eq!(PatternTable::decode_from(&mut r).unwrap(), table);
+        r.finish().unwrap();
         // Truncation at any prefix is a decode failure, not a panic.
         for keep in 0..bytes.len() {
-            let mut pos = 0;
-            assert!(PatternTable::decode(&bytes[..keep], &mut pos).is_none());
+            assert!(PatternTable::decode_from(&mut Reader::new(&bytes[..keep])).is_err());
         }
         // An out-of-range class code is rejected.
         let mut key_bytes = Vec::new();
         PatternKey::new(&[arrr()]).encode_to(&mut key_bytes);
         key_bytes[1] = 0xFF;
-        let mut pos = 0;
-        assert!(PatternKey::decode(&key_bytes, &mut pos).is_none());
+        assert!(matches!(
+            PatternKey::decode_from(&mut Reader::new(&key_bytes)),
+            Err(WireError::UnknownKind(0xFF))
+        ));
     }
 }

@@ -1,5 +1,6 @@
 //! Aggregate collapsing statistics (Figures 8–10, Tables 5–6).
 
+use ddsc_util::codec::{Reader, WireError};
 use ddsc_util::stats::Percent;
 use ddsc_util::Histogram;
 
@@ -138,7 +139,7 @@ impl CollapseStats {
 
     /// Appends the binary encoding to `out`: the five counters, the
     /// distance histogram, then the pair/triple/quad tables. The
-    /// inverse of [`CollapseStats::decode`]; part of the per-cell
+    /// inverse of [`CollapseStats::decode_from`]; part of the per-cell
     /// result codec the resumable-run store uses.
     pub fn encode_to(&self, out: &mut Vec<u8>) {
         for v in [
@@ -156,28 +157,28 @@ impl CollapseStats {
         self.quads.encode_to(out);
     }
 
-    /// Decodes statistics from `bytes` at `*pos`, advancing past them.
-    /// `None` on truncation or malformed contents.
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Option<CollapseStats> {
+    /// Decodes statistics written by [`CollapseStats::encode_to`].
+    ///
+    /// # Errors
+    ///
+    /// Truncation or malformed contents (see [`Histogram::decode_from`]
+    /// and [`PatternTable::decode_from`]).
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<CollapseStats, WireError> {
         let mut counters = [0u64; 5];
         for c in &mut counters {
-            *c = u64::from_le_bytes(bytes.get(*pos..*pos + 8)?.try_into().ok()?);
-            *pos += 8;
+            *c = r.u64()?;
         }
-        let distance = Histogram::decode(bytes, pos)?;
-        let pairs = PatternTable::decode(bytes, pos)?;
-        let triples = PatternTable::decode(bytes, pos)?;
-        let quads = PatternTable::decode(bytes, pos)?;
-        Some(CollapseStats {
-            groups_3_1: counters[0],
-            groups_4_1: counters[1],
-            groups_0_op: counters[2],
-            distance,
-            pairs,
-            triples,
-            quads,
-            collapsed_insts: counters[3],
-            total_insts: counters[4],
+        let [groups_3_1, groups_4_1, groups_0_op, collapsed_insts, total_insts] = counters;
+        Ok(CollapseStats {
+            groups_3_1,
+            groups_4_1,
+            groups_0_op,
+            distance: Histogram::decode_from(r)?,
+            pairs: PatternTable::decode_from(r)?,
+            triples: PatternTable::decode_from(r)?,
+            quads: PatternTable::decode_from(r)?,
+            collapsed_insts,
+            total_insts,
         })
     }
 
@@ -249,13 +250,12 @@ mod tests {
         stats.set_total(100);
         let mut bytes = Vec::new();
         stats.encode_to(&mut bytes);
-        let mut pos = 0;
-        let back = CollapseStats::decode(&bytes, &mut pos).unwrap();
-        assert_eq!(back, stats);
-        assert_eq!(pos, bytes.len());
+        let mut r = Reader::new(&bytes);
+        assert_eq!(CollapseStats::decode_from(&mut r).unwrap(), stats);
+        r.finish().unwrap();
         // Truncation anywhere fails cleanly.
-        let mut pos = 0;
-        assert!(CollapseStats::decode(&bytes[..bytes.len() - 1], &mut pos).is_none());
+        let short = &bytes[..bytes.len() - 1];
+        assert!(CollapseStats::decode_from(&mut Reader::new(short)).is_err());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use ddsc_collapse::CollapseStats;
+use ddsc_util::codec::Reader;
 use ddsc_util::stats::Percent;
 
 use crate::SimConfig;
@@ -227,16 +228,18 @@ impl SimResult {
         self.collapse.encode_to(out);
     }
 
-    /// Decodes a result encoded by [`SimResult::encode_to`], attaching
-    /// the caller-reconstructed `config`. `None` on truncation or
-    /// malformed contents.
+    /// Decodes a result encoded by [`SimResult::encode_to`] at byte
+    /// offset `*pos`, advancing `*pos` past it and attaching the
+    /// caller-reconstructed `config`. `None` on truncation or malformed
+    /// contents.
     pub fn decode(bytes: &[u8], pos: &mut usize, config: SimConfig) -> Option<SimResult> {
+        let mut r = Reader::new(bytes.get(*pos..)?);
         let mut counters = [0u64; 18];
         for c in &mut counters {
-            *c = u64::from_le_bytes(bytes.get(*pos..*pos + 8)?.try_into().ok()?);
-            *pos += 8;
+            *c = r.u64().ok()?;
         }
-        let collapse = CollapseStats::decode(bytes, pos)?;
+        let collapse = CollapseStats::decode_from(&mut r).ok()?;
+        *pos += r.pos();
         Some(SimResult {
             config,
             instructions: counters[0],

@@ -4,16 +4,16 @@
 //! *processes* while keeping the single-process guarantee: the merged
 //! grid is byte-identical to a local run. Cells are identified by the
 //! lab's input digests (`fnv1a(trace checksum ‖ config label ‖
-//! width)`), travel over the checksummed frame protocol `ddsc serve`
-//! introduced, and carry results as the canonical
-//! [`SimResult::encode_to`](ddsc_core::SimResult::encode_to) bytes the
-//! cell store persists — so "merge" is just "insert the first valid
-//! result per digest".
+//! width)`), travel in the checksummed frames of [`ddsc_util::codec`]
+//! (the same frames `ddsc serve` speaks), and carry results as the
+//! canonical [`SimResult::encode_to`](ddsc_core::SimResult::encode_to)
+//! bytes the cell store persists — so "merge" is just "insert the first
+//! valid result per digest".
 //!
 //! Five layers:
 //!
 //! - [`proto`] — the coordinator/worker message vocabulary over
-//!   [`ddsc_serve::proto`] frames; decoding is total.
+//!   [`ddsc_util::codec`] frames; decoding is total.
 //! - [`coordinator`] — the [`Scheduler`] failure model (leases with
 //!   dispatch-time deadlines, heartbeats, straggler re-dispatch,
 //!   poison quarantine, double-compute spot checks with byzantine

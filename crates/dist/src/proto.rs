@@ -1,12 +1,12 @@
-//! The coordinator/worker wire protocol: the same checksummed frame
-//! recipe as `ddsc serve` ([`ddsc_serve::proto`]), carrying a private
-//! message vocabulary.
+//! The coordinator/worker wire protocol: a private message vocabulary
+//! in the checksummed frames of [`ddsc_util::codec`].
 //!
-//! Framing is reused verbatim — `len:u32 ‖ payload ‖ fnv1a(payload):u64`
-//! via [`encode_frame`]/[`read_frame`] — so torn or corrupted frames are
-//! *detected*, never misparsed, and the fault-plan proptests that pin
-//! the serve codec pin this one too. Payloads open with a dist-protocol
-//! version byte and a kind byte:
+//! Frames, strings and byte fields all come from the shared codec — the
+//! one owner of the `len:u32 ‖ payload ‖ fnv1a(payload):u64` frame,
+//! capped at [`MAX_FRAME_LEN`] — so torn or corrupted frames are
+//! *detected*, never misparsed, and the codec's frame fault suite pins
+//! this wire too. Payloads open with a dist-protocol version byte and a
+//! kind byte:
 //!
 //! ```text
 //! payload := version:u8 kind:u8 fields...
@@ -25,11 +25,13 @@
 //! Decoding is total: any byte sequence yields a value or a typed
 //! [`WireError`]; untrusted worker input can never panic the
 //! coordinator.
+//!
+//! [`SimResult::encode_to`]: ddsc_core::SimResult::encode_to
 
 use std::io::{Read, Write};
 
-pub use ddsc_serve::proto::WireError;
-use ddsc_serve::proto::{encode_frame, read_frame, MAX_FRAME_LEN};
+pub use ddsc_util::codec::WireError;
+use ddsc_util::codec::{put_bytes, put_str, read_frame, write_frame, Reader, MAX_FRAME_LEN};
 
 /// Dist protocol version; leads every payload. Distinct from the serve
 /// protocol's version byte so a worker pointed at a `ddsc serve` port
@@ -144,86 +146,6 @@ const C_IDLE: u8 = 3;
 const C_ALL_DONE: u8 = 4;
 const C_ACK: u8 = 5;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = s.len().min(u16::MAX as usize) as u16;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..len as usize]);
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-/// A bounds-checked cursor over one payload; every getter returns
-/// `Truncated` instead of slicing past the end.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let slice = self
-            .bytes
-            .get(self.pos..self.pos.checked_add(n).ok_or(WireError::Truncated)?)
-            .ok_or(WireError::Truncated)?;
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.u32()?;
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::BadLength(len));
-        }
-        Ok(self.take(len as usize)?.to_vec())
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes)
-        }
-    }
-}
-
-fn version_checked(bytes: &[u8]) -> Result<Cursor<'_>, WireError> {
-    let mut c = Cursor::new(bytes);
-    let version = c.u8()?;
-    if version != DIST_VERSION {
-        return Err(WireError::UnknownVersion(version));
-    }
-    Ok(c)
-}
-
 impl CellSpec {
     fn encode_to(&self, out: &mut Vec<u8>) {
         put_str(out, &self.bench);
@@ -234,7 +156,7 @@ impl CellSpec {
         out.extend_from_slice(&self.digest.to_le_bytes());
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Result<CellSpec, WireError> {
+    fn decode(c: &mut Reader<'_>) -> Result<CellSpec, WireError> {
         Ok(CellSpec {
             bench: c.str()?,
             config: c.str()?,
@@ -294,7 +216,7 @@ impl WorkerMsg {
     /// Decodes one payload. Total: any input yields a value or a typed
     /// [`WireError`].
     pub fn decode_payload(bytes: &[u8]) -> Result<WorkerMsg, WireError> {
-        let mut c = version_checked(bytes)?;
+        let mut c = Reader::versioned(bytes, DIST_VERSION)?;
         let kind = c.u8()?;
         let msg = match kind {
             W_HELLO => WorkerMsg::Hello {
@@ -352,7 +274,7 @@ impl CoordMsg {
     /// Decodes one payload. Total: any input yields a value or a typed
     /// [`WireError`].
     pub fn decode_payload(bytes: &[u8]) -> Result<CoordMsg, WireError> {
-        let mut c = version_checked(bytes)?;
+        let mut c = Reader::versioned(bytes, DIST_VERSION)?;
         let kind = c.u8()?;
         let msg = match kind {
             C_WELCOME => CoordMsg::Welcome {
@@ -371,34 +293,31 @@ impl CoordMsg {
 
 /// Writes one worker frame.
 pub fn write_worker_msg(w: &mut impl Write, msg: &WorkerMsg) -> std::io::Result<()> {
-    w.write_all(&encode_frame(&msg.encode_payload()))
+    write_frame(w, &msg.encode_payload(), MAX_FRAME_LEN)
 }
 
 /// Writes one coordinator frame.
 pub fn write_coord_msg(w: &mut impl Write, msg: &CoordMsg) -> std::io::Result<()> {
-    w.write_all(&encode_frame(&msg.encode_payload()))
+    write_frame(w, &msg.encode_payload(), MAX_FRAME_LEN)
 }
 
 /// Reads one worker frame; `Ok(None)` is clean end-of-stream.
 pub fn read_worker_msg(r: &mut impl Read) -> Result<Option<WorkerMsg>, WireError> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(payload) => WorkerMsg::decode_payload(&payload).map(Some),
-    }
+    read_frame(r, MAX_FRAME_LEN)?
+        .map(|payload| WorkerMsg::decode_payload(&payload))
+        .transpose()
 }
 
 /// Reads one coordinator frame; `Ok(None)` is clean end-of-stream.
 pub fn read_coord_msg(r: &mut impl Read) -> Result<Option<CoordMsg>, WireError> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(payload) => CoordMsg::decode_payload(&payload).map(Some),
-    }
+    read_frame(r, MAX_FRAME_LEN)?
+        .map(|payload| CoordMsg::decode_payload(&payload))
+        .transpose()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddsc_serve::proto::decode_frame;
 
     fn sample_spec() -> CellSpec {
         CellSpec {
@@ -444,40 +363,50 @@ mod tests {
     }
 
     #[test]
-    fn every_message_round_trips_through_frames() {
+    fn every_message_round_trips_through_frames_and_sees_clean_eof() {
+        let mut worker = Vec::new();
         for msg in sample_worker_msgs() {
-            let frame = encode_frame(&msg.encode_payload());
-            let (payload, used) = decode_frame(&frame).unwrap();
-            assert_eq!(used, frame.len());
-            assert_eq!(WorkerMsg::decode_payload(&payload).unwrap(), msg);
+            write_worker_msg(&mut worker, &msg).unwrap();
         }
-        for msg in sample_coord_msgs() {
-            let frame = encode_frame(&msg.encode_payload());
-            let (payload, used) = decode_frame(&frame).unwrap();
-            assert_eq!(used, frame.len());
-            assert_eq!(CoordMsg::decode_payload(&payload).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn stream_io_round_trips_and_sees_clean_eof() {
-        let mut buf = Vec::new();
-        for msg in sample_worker_msgs() {
-            write_worker_msg(&mut buf, &msg).unwrap();
-        }
-        let mut r = &buf[..];
+        let mut r = &worker[..];
         for msg in sample_worker_msgs() {
             assert_eq!(read_worker_msg(&mut r).unwrap(), Some(msg));
         }
         assert!(read_worker_msg(&mut r).unwrap().is_none(), "clean EOF");
+        let mut coord = Vec::new();
+        for msg in sample_coord_msgs() {
+            write_coord_msg(&mut coord, &msg).unwrap();
+        }
+        let mut r = &coord[..];
+        for msg in sample_coord_msgs() {
+            assert_eq!(read_coord_msg(&mut r).unwrap(), Some(msg));
+        }
+        assert!(read_coord_msg(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn an_over_long_multibyte_error_round_trips_cut_on_a_char_boundary() {
+        // 70,000 bytes of a two-byte character overflow the u16 string
+        // field; the cut must keep the payload valid UTF-8.
+        let failed = |error: String| WorkerMsg::Failed {
+            worker_id: 7,
+            digest: 99,
+            error,
+        };
+        let mut frame = Vec::new();
+        write_worker_msg(&mut frame, &failed("é".repeat(35_000))).unwrap();
+        assert_eq!(
+            read_worker_msg(&mut &frame[..]).unwrap(),
+            Some(failed("é".repeat(32_767)))
+        );
     }
 
     #[test]
     fn serve_frames_are_rejected_by_version() {
-        // A `ddsc serve` payload leads with the serve protocol version;
-        // pointing a worker at the wrong port is an UnknownVersion, not
-        // a misparse.
-        let serve_payload = ddsc_serve::proto::Request::Ping.encode_payload();
+        // A `ddsc serve` payload leads with the serve protocol version
+        // (here a serve `Ping`: version 1, kind 1); pointing a worker at
+        // the wrong port is an UnknownVersion, not a misparse.
+        let serve_payload = [1u8, 1];
         assert!(matches!(
             CoordMsg::decode_payload(&serve_payload),
             Err(WireError::UnknownVersion(_))

@@ -48,6 +48,7 @@ use std::sync::Arc;
 
 use ddsc_trace::io::{decode_record, encode_record, TraceIoError, RECORD_LEN};
 use ddsc_trace::{SliceSource, SourceError, Trace, TraceInst, TraceSource};
+use ddsc_util::codec::{Reader, WireError};
 use ddsc_util::fault::{is_transient, Backoff};
 use ddsc_util::{fnv1a, publish_atomic_with};
 
@@ -92,6 +93,12 @@ impl fmt::Display for CacheError {
             CacheError::Corrupt(why) => write!(f, "corrupt cache entry: {why}"),
             CacheError::Io(e) => write!(f, "cache read failed: {e}"),
         }
+    }
+}
+
+impl From<WireError> for CacheError {
+    fn from(e: WireError) -> CacheError {
+        CacheError::Corrupt(e.to_string())
     }
 }
 
@@ -211,30 +218,31 @@ impl TraceCache {
             }
             Err(e) => return Err(CacheError::Io(e)),
         }
-        if &header[..4] != MAGIC {
+        let mut h = Reader::new(&header);
+        if h.take(4)? != MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let u64_at = |o: usize| u64::from_le_bytes(header[o..o + 8].try_into().expect("in range"));
-        if header[4..8] != VERSION.to_le_bytes() {
+        if h.u32()? != VERSION {
             return Err(corrupt("format version mismatch"));
         }
-        if u64_at(8) != seed || u64_at(16) != len as u64 {
+        if h.u64()? != seed || h.u64()? != len as u64 {
             // The key is in the file name, so an in-file mismatch means
             // the entry was renamed or overwritten — corruption, not a
             // plain miss.
             return Err(corrupt("generation key does not match the file name"));
         }
-        let frame_records = u64_at(24);
+        let frame_records = h.u64()?;
         if frame_records == 0 {
             return Err(corrupt("zero frame size"));
         }
-        let total = u64_at(32);
+        let total = h.u64()?;
         if total > len as u64 {
             return Err(corrupt("record total exceeds the generation key length"));
         }
         Ok(ChunkedReader {
             file,
             name: name.to_string(),
+            frame_records,
             total,
             loaded: 0,
             pending: Vec::new(),
@@ -355,6 +363,8 @@ impl TraceCache {
 pub struct ChunkedReader {
     file: BufReader<fs::File>,
     name: String,
+    /// Most records one frame may hold, from the header.
+    frame_records: u64,
     /// Records the header promises.
     total: u64,
     /// Records decoded from frames so far.
@@ -376,7 +386,7 @@ impl ChunkedReader {
     }
 
     /// Reads and validates the next frame into `pending`.
-    fn read_frame(&mut self) -> Result<(), CacheError> {
+    fn load_frame(&mut self) -> Result<(), CacheError> {
         let corrupt = |why: &str| CacheError::Corrupt(why.to_string());
         let mut head = [0u8; FRAME_HEADER_LEN];
         match self.file.read_exact(&mut head) {
@@ -386,14 +396,16 @@ impl ChunkedReader {
             }
             Err(e) => return Err(CacheError::Io(e)),
         }
-        let count = u64::from_le_bytes(head[..8].try_into().expect("in range"));
-        let checksum = u64::from_le_bytes(head[8..].try_into().expect("in range"));
-        if count == 0 || self.loaded + count > self.total {
-            return Err(corrupt(
-                "frame record count disagrees with the header total",
-            ));
+        let mut h = Reader::new(&head);
+        let (count, checksum) = (h.u64()?, h.u64()?);
+        // A corrupt count must classify, never overflow: `loaded` never
+        // passes `total`, and `count ≤ total ≤ len` fits a `usize`.
+        let room = self.total - self.loaded;
+        if count == 0 || count > self.frame_records || count > room {
+            return Err(corrupt("frame record count disagrees with the header"));
         }
-        let mut payload = vec![0u8; count as usize * RECORD_LEN];
+        let payload_len = (count as usize).checked_mul(RECORD_LEN);
+        let mut payload = vec![0u8; payload_len.ok_or_else(|| corrupt("frame too large"))?];
         match self.file.read_exact(&mut payload) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
@@ -429,7 +441,7 @@ impl ChunkedReader {
                 if self.loaded == self.total {
                     break;
                 }
-                self.read_frame()?;
+                self.load_frame()?;
             }
             let take = (max - served).min(self.pending.len() - self.cursor);
             out.extend_from_slice(&self.pending[self.cursor..self.cursor + take]);
@@ -594,6 +606,27 @@ mod tests {
             Err(CacheError::Corrupt(why)) => assert!(why.contains("checksum"), "{why}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn an_overflowing_frame_count_is_corruption_not_a_panic() {
+        let cache = TraceCache::new(tmpdir("overflow"));
+        let t = sample(200);
+        cache
+            .store_source("sample", 3, 200, &mut SliceSource::new(&t), 100)
+            .unwrap();
+        // The second frame's count sits after the header and one whole
+        // 100-record frame.
+        let path = cache.path_for("sample", 3, 200);
+        let mut bytes = fs::read(&path).unwrap();
+        let second = HEADER_LEN + FRAME_HEADER_LEN + 100 * RECORD_LEN;
+        bytes[second..second + 8].copy_from_slice(&(u64::MAX - 50).to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            cache.try_load("sample", 3, 200),
+            Err(CacheError::Corrupt(_))
+        ));
         let _ = fs::remove_dir_all(cache.dir());
     }
 

@@ -25,6 +25,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use ddsc_core::{SimConfig, SimResult};
+use ddsc_util::codec::Reader;
 use ddsc_util::{fnv1a, publish_atomic};
 
 /// Cell-store magic: "DDSC Cell Result".
@@ -84,36 +85,23 @@ impl CellStore {
     /// caller re-simulates.
     pub fn load(&self, digest: u64, config: SimConfig) -> Option<SimResult> {
         let bytes = fs::read(self.path_for(digest)).ok()?;
-        if bytes.len() < HEADER_LEN || &bytes[..4] != MAGIC {
-            return None;
-        }
-        let u32_at = |o: usize| {
-            bytes
-                .get(o..o + 4)?
-                .first_chunk::<4>()
-                .map(|c| u32::from_le_bytes(*c))
-        };
-        let u64_at = |o: usize| {
-            bytes
-                .get(o..o + 8)?
-                .first_chunk::<8>()
-                .map(|c| u64::from_le_bytes(*c))
-        };
-        if u32_at(4) != Some(VERSION) || u64_at(8) != Some(digest) {
-            return None;
-        }
-        let payload = &bytes[HEADER_LEN..];
-        if u64_at(16) != Some(payload.len() as u64) || u64_at(24) != Some(fnv1a(payload)) {
+        let mut r = Reader::new(&bytes);
+        let (magic, version, stored_digest) = (r.take(4).ok()?, r.u32().ok()?, r.u64().ok()?);
+        let (payload_len, checksum) = (r.u64().ok()?, r.u64().ok()?);
+        let payload = r.rest();
+        if magic != MAGIC
+            || version != VERSION
+            || stored_digest != digest
+            || payload_len != payload.len() as u64
+            || checksum != fnv1a(payload)
+        {
             return None;
         }
         let mut pos = 0;
         let result = SimResult::decode(payload, &mut pos, config)?;
         // Reject trailing garbage: a longer-than-expected payload means
         // the file is not what this version would have written.
-        if pos != payload.len() {
-            return None;
-        }
-        Some(result)
+        (pos == payload.len()).then_some(result)
     }
 }
 

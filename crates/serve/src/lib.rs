@@ -3,10 +3,10 @@
 //! The one-shot CLI relaunches the whole toolchain for every grid; this
 //! crate turns it into a daemon. Three layers, each usable on its own:
 //!
-//! * [`proto`] — a checksummed, length-prefixed binary frame protocol
-//!   (journal-style `len ‖ payload ‖ fnv1a`) carrying typed requests
-//!   and responses. Decoding is total: arbitrary bytes produce a value
-//!   or a typed [`proto::WireError`], never a panic.
+//! * [`proto`] — typed requests and responses carried in the
+//!   checksummed `len ‖ payload ‖ fnv1a` frames of
+//!   [`ddsc_util::codec`]. Decoding is total: arbitrary bytes produce a
+//!   value or a typed [`proto::WireError`], never a panic.
 //! * [`engine`] — the transport-agnostic core: a bounded admission
 //!   queue (typed 429-style rejections), a digest-keyed coalescing map
 //!   (concurrent identical requests share one simulation; repeats hit

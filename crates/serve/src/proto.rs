@@ -1,16 +1,15 @@
 //! The `ddsc serve` wire protocol: checksummed binary frames over TCP.
 //!
 //! The service talks a length-prefixed binary protocol rather than
-//! HTTP: the repo deliberately has no external dependencies, the
-//! response body is already a binary codec ([`SimResult::encode_to`]),
-//! and the framing can then reuse the journal's proven recipe — every
-//! frame is `len:u32 ‖ payload ‖ fnv1a(payload):u64`, all integers
-//! little-endian, so a torn or corrupted frame is *detected*, never
-//! misparsed.
+//! HTTP: the repo deliberately has no external dependencies, and the
+//! response body is already a binary codec ([`SimResult::encode_to`]).
+//! Frames, strings and byte fields all come from [`ddsc_util::codec`],
+//! the one owner of the `len:u32 ‖ payload ‖ fnv1a(payload):u64` frame
+//! (capped at [`MAX_FRAME_LEN`]), so a torn or corrupted frame is
+//! *detected*, never misparsed. This module owns only the payloads:
 //!
 //! ```text
-//! frame    := len:u32 payload[len] fnv1a(payload):u64
-//! payload  := kind:u8 fields...
+//! payload  := version:u8 kind:u8 fields...
 //! string   := len:u16 utf8[len]
 //! bytes    := len:u32 raw[len]
 //! ```
@@ -27,21 +26,17 @@
 //! That property is pinned by the fault-plan proptests in
 //! `tests/proto_proptest.rs`, which mutate valid frames with
 //! [`ddsc_util::fault::FaultPlan`] and assert the decoder returns.
+//!
+//! [`SimResult::encode_to`]: ddsc_core::SimResult::encode_to
 
-use std::fmt;
 use std::io::{self, Read, Write};
 
-use ddsc_util::fnv1a;
+use ddsc_util::codec::{put_bytes, put_str, read_frame, write_frame, Reader};
+pub use ddsc_util::codec::{WireError, MAX_FRAME_LEN};
 
 /// Protocol version, checked implicitly: the version byte leads every
 /// payload, and a mismatch is an [`WireError::UnknownVersion`].
 pub const PROTO_VERSION: u8 = 1;
-
-/// Upper bound on a frame payload. A `Submit` is tiny and a `Result`
-/// carries one encoded `SimResult` (a few hundred bytes plus bounded
-/// histograms); anything claiming to be larger than 4 MiB is corruption
-/// or abuse, rejected before allocation.
-pub const MAX_FRAME_LEN: u32 = 4 << 20;
 
 /// One experiment request: the full cell identity the digest is
 /// computed from. `bench` and `config` are carried as strings so the
@@ -166,54 +161,6 @@ impl Response {
     }
 }
 
-/// Why a byte sequence failed to parse as a frame or payload.
-///
-/// Every decoding path returns one of these — the wire-facing code has
-/// no panicking parse. `Io` carries transport errors so callers handle
-/// one error type end to end.
-#[derive(Debug)]
-pub enum WireError {
-    /// The stream ended inside a frame (length prefix promised more).
-    Truncated,
-    /// The frame checksum did not match its payload.
-    Checksum,
-    /// The length prefix exceeded [`MAX_FRAME_LEN`] (or was zero).
-    BadLength(u32),
-    /// The payload's version byte was not [`PROTO_VERSION`].
-    UnknownVersion(u8),
-    /// The payload's kind byte matched no known message.
-    UnknownKind(u8),
-    /// A string field held invalid UTF-8.
-    BadUtf8,
-    /// The payload decoded but left unconsumed bytes.
-    TrailingBytes,
-    /// An underlying transport error.
-    Io(io::Error),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "frame truncated"),
-            WireError::Checksum => write!(f, "frame checksum mismatch"),
-            WireError::BadLength(n) => write!(f, "bad frame length {n}"),
-            WireError::UnknownVersion(v) => write!(f, "unknown protocol version {v}"),
-            WireError::UnknownKind(k) => write!(f, "unknown message kind {k}"),
-            WireError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
-            WireError::TrailingBytes => write!(f, "trailing bytes after payload"),
-            WireError::Io(e) => write!(f, "transport error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<io::Error> for WireError {
-    fn from(e: io::Error) -> WireError {
-        WireError::Io(e)
-    }
-}
-
 const REQ_PING: u8 = 1;
 const REQ_SUBMIT: u8 = 2;
 const REQ_STATS: u8 = 3;
@@ -229,77 +176,6 @@ const RESP_FAILED: u8 = 7;
 const RESP_TIMED_OUT: u8 = 8;
 const RESP_STATS: u8 = 9;
 const RESP_SHUTTING_DOWN: u8 = 10;
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = s.len().min(u16::MAX as usize) as u16;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..len as usize]);
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-/// A bounds-checked cursor over one payload; every getter returns
-/// `Truncated` instead of slicing past the end.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let slice = self
-            .bytes
-            .get(self.pos..self.pos.checked_add(n).ok_or(WireError::Truncated)?)
-            .ok_or(WireError::Truncated)?;
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.u32()?;
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::BadLength(len));
-        }
-        Ok(self.take(len as usize)?.to_vec())
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes)
-        }
-    }
-}
 
 impl Request {
     /// Encodes the payload (version, kind, fields — no framing).
@@ -325,11 +201,7 @@ impl Request {
     /// Decodes one payload. Total: any input yields a value or a typed
     /// [`WireError`].
     pub fn decode_payload(bytes: &[u8]) -> Result<Request, WireError> {
-        let mut c = Cursor::new(bytes);
-        let version = c.u8()?;
-        if version != PROTO_VERSION {
-            return Err(WireError::UnknownVersion(version));
-        }
+        let mut c = Reader::versioned(bytes, PROTO_VERSION)?;
         let kind = c.u8()?;
         let req = match kind {
             REQ_PING => Request::Ping,
@@ -408,11 +280,7 @@ impl Response {
     /// Decodes one payload. Total: any input yields a value or a typed
     /// [`WireError`].
     pub fn decode_payload(bytes: &[u8]) -> Result<Response, WireError> {
-        let mut c = Cursor::new(bytes);
-        let version = c.u8()?;
-        if version != PROTO_VERSION {
-            return Err(WireError::UnknownVersion(version));
-        }
+        let mut c = Reader::versioned(bytes, PROTO_VERSION)?;
         let kind = c.u8()?;
         let resp = match kind {
             RESP_PONG => Response::Pong,
@@ -447,94 +315,28 @@ impl Response {
     }
 }
 
-/// Wraps a payload in one complete frame: `len ‖ payload ‖ checksum`.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(payload.len() + 12);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    frame
-}
-
-/// Splits one frame off the front of `bytes`: returns the payload and
-/// the bytes consumed. Errors exactly where [`read_frame`] would.
-pub fn decode_frame(bytes: &[u8]) -> Result<(Vec<u8>, usize), WireError> {
-    let len_bytes = bytes.get(..4).ok_or(WireError::Truncated)?;
-    let len = u32::from_le_bytes(len_bytes.try_into().unwrap());
-    if len == 0 || len > MAX_FRAME_LEN {
-        return Err(WireError::BadLength(len));
-    }
-    let len = len as usize;
-    let payload = bytes.get(4..4 + len).ok_or(WireError::Truncated)?;
-    let sum = bytes.get(4 + len..12 + len).ok_or(WireError::Truncated)?;
-    if fnv1a(payload) != u64::from_le_bytes(sum.try_into().unwrap()) {
-        return Err(WireError::Checksum);
-    }
-    Ok((payload.to_vec(), 12 + len))
-}
-
-/// Reads one frame from a stream. `Ok(None)` is a clean end-of-stream
-/// (the peer closed between frames); EOF *inside* a frame is
-/// [`WireError::Truncated`].
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
-    let mut len_bytes = [0u8; 4];
-    // A clean close before any byte of the next frame is not an error.
-    match r.read(&mut len_bytes) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r
-            .read_exact(&mut len_bytes[n..])
-            .map_err(eof_as_truncated)?,
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-            r.read_exact(&mut len_bytes).map_err(eof_as_truncated)?
-        }
-        Err(e) => return Err(WireError::Io(e)),
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len == 0 || len > MAX_FRAME_LEN {
-        return Err(WireError::BadLength(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(eof_as_truncated)?;
-    let mut sum = [0u8; 8];
-    r.read_exact(&mut sum).map_err(eof_as_truncated)?;
-    if fnv1a(&payload) != u64::from_le_bytes(sum) {
-        return Err(WireError::Checksum);
-    }
-    Ok(Some(payload))
-}
-
-fn eof_as_truncated(e: io::Error) -> WireError {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        WireError::Truncated
-    } else {
-        WireError::Io(e)
-    }
-}
-
 /// Writes one request as a frame.
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
-    w.write_all(&encode_frame(&req.encode_payload()))
+    write_frame(w, &req.encode_payload(), MAX_FRAME_LEN)
 }
 
 /// Writes one response as a frame.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
-    w.write_all(&encode_frame(&resp.encode_payload()))
+    write_frame(w, &resp.encode_payload(), MAX_FRAME_LEN)
 }
 
 /// Reads one request frame; `Ok(None)` is clean end-of-stream.
 pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, WireError> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(payload) => Request::decode_payload(&payload).map(Some),
-    }
+    read_frame(r, MAX_FRAME_LEN)?
+        .map(|payload| Request::decode_payload(&payload))
+        .transpose()
 }
 
 /// Reads one response frame; `Ok(None)` is clean end-of-stream.
 pub fn read_response(r: &mut impl Read) -> Result<Option<Response>, WireError> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(payload) => Response::decode_payload(&payload).map(Some),
-    }
+    read_frame(r, MAX_FRAME_LEN)?
+        .map(|payload| Response::decode_payload(&payload))
+        .transpose()
 }
 
 #[cfg(test)]
@@ -595,66 +397,40 @@ mod tests {
     }
 
     #[test]
-    fn every_message_round_trips_through_frames() {
+    fn every_message_round_trips_through_frames_and_sees_clean_eof() {
+        let mut requests = Vec::new();
         for req in sample_requests() {
-            let frame = encode_frame(&req.encode_payload());
-            let (payload, used) = decode_frame(&frame).unwrap();
-            assert_eq!(used, frame.len());
-            assert_eq!(Request::decode_payload(&payload).unwrap(), req);
+            write_request(&mut requests, &req).unwrap();
         }
-        for resp in sample_responses() {
-            let frame = encode_frame(&resp.encode_payload());
-            let (payload, used) = decode_frame(&frame).unwrap();
-            assert_eq!(used, frame.len());
-            assert_eq!(Response::decode_payload(&payload).unwrap(), resp);
-        }
-    }
-
-    #[test]
-    fn stream_io_round_trips_and_sees_clean_eof() {
-        let mut buf = Vec::new();
-        for req in sample_requests() {
-            write_request(&mut buf, &req).unwrap();
-        }
-        let mut r = &buf[..];
+        let mut r = &requests[..];
         for req in sample_requests() {
             assert_eq!(read_request(&mut r).unwrap(), Some(req));
         }
         assert!(read_request(&mut r).unwrap().is_none(), "clean EOF");
+        let mut responses = Vec::new();
+        for resp in sample_responses() {
+            write_response(&mut responses, &resp).unwrap();
+        }
+        let mut r = &responses[..];
+        for resp in sample_responses() {
+            assert_eq!(read_response(&mut r).unwrap(), Some(resp));
+        }
+        assert!(read_response(&mut r).unwrap().is_none(), "clean EOF");
     }
 
     #[test]
-    fn truncation_and_corruption_are_typed_errors() {
-        let frame = encode_frame(&Request::Ping.encode_payload());
-        // Every proper prefix is Truncated (or a clean EOF at zero).
-        for cut in 1..frame.len() {
-            let err = decode_frame(&frame[..cut]).unwrap_err();
-            assert!(
-                matches!(err, WireError::Truncated),
-                "cut {cut} gave {err:?}"
-            );
-        }
-        // A flipped payload byte is a checksum error.
-        let mut bad = frame.clone();
-        bad[5] ^= 0xFF;
-        assert!(matches!(
-            decode_frame(&bad).unwrap_err(),
-            WireError::Checksum
-        ));
-        // An oversized length prefix is rejected before allocation.
-        let mut huge = frame.clone();
-        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            decode_frame(&huge).unwrap_err(),
-            WireError::BadLength(_)
-        ));
-        // A zero length prefix is rejected too.
-        let mut zero = frame;
-        zero[..4].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode_frame(&zero).unwrap_err(),
-            WireError::BadLength(0)
-        ));
+    fn an_over_long_multibyte_error_round_trips_cut_on_a_char_boundary() {
+        // 70,000 bytes of a two-byte character overflow the u16 string
+        // field; the cut must keep the payload valid UTF-8.
+        let mut frame = Vec::new();
+        let error = "é".repeat(35_000);
+        write_response(&mut frame, &Response::Failed { error }).unwrap();
+        assert_eq!(
+            read_response(&mut &frame[..]).unwrap(),
+            Some(Response::Failed {
+                error: "é".repeat(32_767)
+            })
+        );
     }
 
     #[test]

@@ -10,11 +10,17 @@
 //!    the decoders contain no panicking path on untrusted input.
 
 use ddsc_serve::proto::{
-    decode_frame, encode_frame, read_request, read_response, Request, Response, StatsSnapshot,
-    SubmitRequest, WireError,
+    read_request, read_response, Request, Response, StatsSnapshot, SubmitRequest, WireError,
+    MAX_FRAME_LEN,
 };
+use ddsc_util::codec::split_frame;
 use ddsc_util::FaultPlan;
 use proptest::prelude::*;
+
+/// One wire frame around `payload`.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    ddsc_util::codec::encode_frame(payload, MAX_FRAME_LEN).expect("payload fits a frame")
+}
 
 /// Arbitrary (possibly non-ASCII, possibly empty) string fields, built
 /// from raw bytes since the vendored proptest has no string strategy.
@@ -85,21 +91,21 @@ proptest! {
     /// Any representable request survives frame encode → decode.
     #[test]
     fn request_round_trips(req in arb_request()) {
-        let frame = encode_frame(&req.encode_payload());
-        let (payload, consumed) = decode_frame(&frame).expect("own frame decodes");
+        let frame = framed(&req.encode_payload());
+        let (payload, consumed) = split_frame(&frame, MAX_FRAME_LEN).expect("own frame decodes");
         prop_assert_eq!(consumed, frame.len());
-        prop_assert_eq!(Request::decode_payload(&payload).expect("own payload decodes"), req);
+        prop_assert_eq!(Request::decode_payload(payload).expect("own payload decodes"), req);
     }
 
     /// Any representable response survives frame encode → decode, both
     /// via the buffer API and the stream API.
     #[test]
     fn response_round_trips(resp in arb_response()) {
-        let frame = encode_frame(&resp.encode_payload());
-        let (payload, consumed) = decode_frame(&frame).expect("own frame decodes");
+        let frame = framed(&resp.encode_payload());
+        let (payload, consumed) = split_frame(&frame, MAX_FRAME_LEN).expect("own frame decodes");
         prop_assert_eq!(consumed, frame.len());
         prop_assert_eq!(
-            Response::decode_payload(&payload).expect("own payload decodes"),
+            Response::decode_payload(payload).expect("own payload decodes"),
             resp.clone()
         );
         let mut stream = &frame[..];
@@ -115,15 +121,15 @@ proptest! {
         seed in any::<u64>(),
         faults in 1usize..8,
     ) {
-        let clean = encode_frame(&req.encode_payload());
+        let clean = framed(&req.encode_payload());
         let mut bytes = clean.clone();
         FaultPlan::seeded(seed, faults, bytes.len()).apply(&mut bytes);
-        match decode_frame(&bytes) {
+        match split_frame(&bytes, MAX_FRAME_LEN) {
             Ok((payload, _)) => {
                 // The checksum may genuinely still match (e.g. a
                 // mutation past the frame end or an identity swap);
                 // the payload decoder must stay total either way.
-                let _ = Request::decode_payload(&payload);
+                let _ = Request::decode_payload(payload);
             }
             Err(e) => prop_assert!(
                 matches!(
@@ -137,8 +143,8 @@ proptest! {
             ),
         }
         if bytes == clean {
-            let (payload, _) = decode_frame(&bytes).expect("untouched frame decodes");
-            prop_assert_eq!(Request::decode_payload(&payload).expect("decodes"), req);
+            let (payload, _) = split_frame(&bytes, MAX_FRAME_LEN).expect("untouched frame decodes");
+            prop_assert_eq!(Request::decode_payload(payload).expect("decodes"), req);
         }
     }
 
@@ -149,7 +155,7 @@ proptest! {
         seed in any::<u64>(),
         faults in 1usize..8,
     ) {
-        let mut bytes = encode_frame(&resp.encode_payload());
+        let mut bytes = framed(&resp.encode_payload());
         FaultPlan::seeded(seed, faults, bytes.len()).apply(&mut bytes);
         let mut stream = &bytes[..];
         // Must return, never panic; error class is free (Io covers
@@ -160,7 +166,7 @@ proptest! {
     /// Fully random byte soup never panics any decoding entry point.
     #[test]
     fn random_bytes_decode_totally(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_frame(&bytes);
+        let _ = split_frame(&bytes, MAX_FRAME_LEN);
         let _ = Request::decode_payload(&bytes);
         let _ = Response::decode_payload(&bytes);
         let mut stream = &bytes[..];
@@ -173,9 +179,9 @@ proptest! {
     /// clean EOF at zero bytes on the stream API).
     #[test]
     fn prefixes_are_truncations(req in arb_request(), cut_scale in 0.0f64..1.0) {
-        let frame = encode_frame(&req.encode_payload());
+        let frame = framed(&req.encode_payload());
         let cut = ((frame.len() - 1) as f64 * cut_scale) as usize;
-        match decode_frame(&frame[..cut]) {
+        match split_frame(&frame[..cut], MAX_FRAME_LEN) {
             Err(WireError::Truncated) => {}
             other => prop_assert!(false, "prefix {cut} gave {other:?}"),
         }

@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use crate::codec::{Reader, WireError};
+
 /// A histogram over `u64` sample values with unit-width buckets up to a
 /// cap; samples at or above the cap land in a single overflow bucket.
 ///
@@ -103,7 +105,7 @@ impl Histogram {
 
     /// Appends the binary encoding to `out`: cap, unit buckets,
     /// overflow, total and sum, all little-endian. The inverse of
-    /// [`Histogram::decode`]; used by the per-cell result store so a
+    /// [`Histogram::decode_from`]; used by the per-cell result store so a
     /// resumed run can reload finished cells without re-simulating.
     pub fn encode_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.buckets.len() as u32).to_le_bytes());
@@ -115,33 +117,26 @@ impl Histogram {
         out.extend_from_slice(&self.sum.to_le_bytes());
     }
 
-    /// Decodes a histogram from `bytes` starting at `*pos`, advancing
-    /// `*pos` past it. `None` on truncation or a zero/absurd cap —
-    /// callers treat that as a corrupt store entry, never a panic.
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Option<Histogram> {
-        fn u64_at(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-            let v = u64::from_le_bytes(bytes.get(*pos..*pos + 8)?.try_into().ok()?);
-            *pos += 8;
-            Some(v)
-        }
-        let cap = u32::from_le_bytes(bytes.get(*pos..*pos + 4)?.try_into().ok()?) as usize;
-        *pos += 4;
+    /// Decodes a histogram written by [`Histogram::encode_to`].
+    ///
+    /// # Errors
+    ///
+    /// Truncation, or a zero or absurd cap as [`WireError::BadLength`] —
+    /// callers treat either as a corrupt store entry, never a panic.
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<Histogram, WireError> {
+        let cap = r.u32()?;
         if cap == 0 || cap > (1 << 20) {
-            return None;
+            return Err(WireError::BadLength(cap));
         }
-        let mut buckets = Vec::with_capacity(cap);
+        let mut buckets = Vec::with_capacity(r.capacity_for(cap as usize, 8));
         for _ in 0..cap {
-            buckets.push(u64_at(bytes, pos)?);
+            buckets.push(r.u64()?);
         }
-        let overflow = u64_at(bytes, pos)?;
-        let total = u64_at(bytes, pos)?;
-        let sum = u128::from_le_bytes(bytes.get(*pos..*pos + 16)?.try_into().ok()?);
-        *pos += 16;
-        Some(Histogram {
+        Ok(Histogram {
             buckets,
-            overflow,
-            total,
-            sum,
+            overflow: r.u64()?,
+            total: r.u64()?,
+            sum: r.u128()?,
         })
     }
 
@@ -254,20 +249,17 @@ mod tests {
         h.record(999);
         let mut bytes = Vec::new();
         h.encode_to(&mut bytes);
-        let mut pos = 0;
-        let back = Histogram::decode(&bytes, &mut pos).unwrap();
-        assert_eq!(back, h);
-        assert_eq!(pos, bytes.len());
+        let mut r = Reader::new(&bytes);
+        assert_eq!(Histogram::decode_from(&mut r).unwrap(), h);
+        r.finish().unwrap();
         for keep in [0, 3, bytes.len() - 1] {
-            let mut pos = 0;
             assert!(
-                Histogram::decode(&bytes[..keep], &mut pos).is_none(),
+                Histogram::decode_from(&mut Reader::new(&bytes[..keep])).is_err(),
                 "keep={keep}"
             );
         }
         // A zero cap can never have been encoded by a real histogram.
-        let mut pos = 0;
-        assert!(Histogram::decode(&[0u8; 44], &mut pos).is_none());
+        assert!(Histogram::decode_from(&mut Reader::new(&[0u8; 44])).is_err());
     }
 
     proptest! {

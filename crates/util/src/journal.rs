@@ -18,6 +18,9 @@
 //! string  := len:u16 utf8[len]
 //! ```
 //!
+//! Records, strings and frames come from [`crate::codec`], with a
+//! 1 MiB payload cap.
+//!
 //! Each [`append`](Journal::append) issues a single `write_all` of one
 //! complete frame followed by `sync_data`, so on any sane filesystem a
 //! record is either durably whole or detectably torn — and the torn
@@ -28,7 +31,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::checksum::fnv1a;
+use crate::codec::{self, put_str, Reader, WireError};
 
 /// Journal file magic: "DDRJ" (Data Dependence Run Journal).
 pub const JOURNAL_MAGIC: [u8; 4] = *b"DDRJ";
@@ -105,32 +108,6 @@ const KIND_CELL_FAILED: u8 = 4;
 const KIND_ARTIFACT_PUBLISHED: u8 = 5;
 const KIND_RUN_FINISHED: u8 = 6;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = s.len().min(u16::MAX as usize) as u16;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..len as usize]);
-}
-
-fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
-    let len = u16::from_le_bytes(bytes.get(*pos..*pos + 2)?.try_into().ok()?) as usize;
-    *pos += 2;
-    let s = std::str::from_utf8(bytes.get(*pos..*pos + len)?).ok()?;
-    *pos += len;
-    Some(s.to_string())
-}
-
-fn get_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-    let v = u32::from_le_bytes(bytes.get(*pos..*pos + 4)?.try_into().ok()?);
-    *pos += 4;
-    Some(v)
-}
-
-fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let v = u64::from_le_bytes(bytes.get(*pos..*pos + 8)?.try_into().ok()?);
-    *pos += 8;
-    Some(v)
-}
-
 /// Encodes one record's *payload* (kind byte + fields, without the
 /// frame's length prefix and checksum suffix).
 fn encode_payload(rec: &JournalRecord) -> Vec<u8> {
@@ -186,54 +163,43 @@ fn encode_payload(rec: &JournalRecord) -> Vec<u8> {
     out
 }
 
-/// Decodes one payload. `None` means corruption (unknown kind, short
-/// fields, trailing garbage, invalid UTF-8).
-fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
-    let (&kind, rest) = payload.split_first()?;
-    let mut pos = 0usize;
-    let rec = match kind {
-        KIND_RUN_STARTED => JournalRecord::RunStarted {
-            config: get_str(rest, &mut pos)?,
-        },
+/// Decodes one payload. Any error means corruption (unknown kind,
+/// short fields, trailing garbage, invalid UTF-8).
+fn decode_payload(payload: &[u8]) -> Result<JournalRecord, WireError> {
+    let mut r = Reader::new(payload);
+    let rec = match r.u8()? {
+        KIND_RUN_STARTED => JournalRecord::RunStarted { config: r.str()? },
         KIND_CELL_STARTED => JournalRecord::CellStarted {
-            bench: get_str(rest, &mut pos)?,
-            config: get_str(rest, &mut pos)?,
-            width: get_u32(rest, &mut pos)?,
+            bench: r.str()?,
+            config: r.str()?,
+            width: r.u32()?,
         },
         KIND_CELL_FINISHED => JournalRecord::CellFinished {
-            bench: get_str(rest, &mut pos)?,
-            config: get_str(rest, &mut pos)?,
-            width: get_u32(rest, &mut pos)?,
-            digest: get_u64(rest, &mut pos)?,
+            bench: r.str()?,
+            config: r.str()?,
+            width: r.u32()?,
+            digest: r.u64()?,
         },
         KIND_CELL_FAILED => JournalRecord::CellFailed {
-            bench: get_str(rest, &mut pos)?,
-            config: get_str(rest, &mut pos)?,
-            width: get_u32(rest, &mut pos)?,
-            error: get_str(rest, &mut pos)?,
+            bench: r.str()?,
+            config: r.str()?,
+            width: r.u32()?,
+            error: r.str()?,
         },
-        KIND_ARTIFACT_PUBLISHED => JournalRecord::ArtifactPublished {
-            path: get_str(rest, &mut pos)?,
-        },
-        KIND_RUN_FINISHED => JournalRecord::RunFinished {
-            status: get_u32(rest, &mut pos)?,
-        },
-        _ => return None,
+        KIND_ARTIFACT_PUBLISHED => JournalRecord::ArtifactPublished { path: r.str()? },
+        KIND_RUN_FINISHED => JournalRecord::RunFinished { status: r.u32()? },
+        other => return Err(WireError::UnknownKind(other)),
     };
-    if pos != rest.len() {
-        return None; // trailing garbage inside a framed payload
-    }
-    Some(rec)
+    // Trailing garbage inside a framed payload is corruption too.
+    r.finish()?;
+    Ok(rec)
 }
 
 /// Encodes one complete frame: `len ‖ payload ‖ fnv1a(payload)`.
 pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
-    let payload = encode_payload(rec);
-    let mut frame = Vec::with_capacity(payload.len() + 12);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    frame
+    // Three strings of at most 64 KiB each cannot reach the 1 MiB cap.
+    codec::encode_frame(&encode_payload(rec), MAX_RECORD_LEN)
+        .expect("journal records fit one frame")
 }
 
 /// Writes one record's frame to any writer as a single `write_all`.
@@ -249,7 +215,7 @@ pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
 ///
 /// Any error from the underlying writer, `ErrorKind` preserved.
 pub fn write_frame(w: &mut impl io::Write, rec: &JournalRecord) -> io::Result<()> {
-    w.write_all(&encode_record(rec))
+    codec::write_frame(w, &encode_payload(rec), MAX_RECORD_LEN)
 }
 
 /// Decodes a journal byte stream (header + frames) into the longest
@@ -262,34 +228,20 @@ pub fn write_frame(w: &mut impl io::Write, rec: &JournalRecord) -> io::Result<()
 /// the torn tail. A missing or damaged header recovers zero records
 /// with a zero-length valid prefix.
 pub fn decode_records(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
-    if bytes.len() < JOURNAL_HEADER_LEN
-        || bytes[..4] != JOURNAL_MAGIC
-        || u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != JOURNAL_VERSION
+    let mut header = Reader::new(bytes);
+    if !header.take(4).is_ok_and(|magic| magic == JOURNAL_MAGIC)
+        || !header.u32().is_ok_and(|v| v == JOURNAL_VERSION)
     {
         return (Vec::new(), 0);
     }
     let mut records = Vec::new();
     let mut pos = JOURNAL_HEADER_LEN;
-    while let Some(len_bytes) = bytes.get(pos..pos + 4) {
-        let len = u32::from_le_bytes(len_bytes.try_into().unwrap());
-        if len == 0 || len > MAX_RECORD_LEN {
-            break;
-        }
-        let len = len as usize;
-        let Some(payload) = bytes.get(pos + 4..pos + 4 + len) else {
-            break;
-        };
-        let Some(sum_bytes) = bytes.get(pos + 4 + len..pos + 12 + len) else {
-            break;
-        };
-        if fnv1a(payload) != u64::from_le_bytes(sum_bytes.try_into().unwrap()) {
-            break;
-        }
-        let Some(rec) = decode_payload(payload) else {
+    while let Ok((payload, used)) = codec::split_frame(&bytes[pos..], MAX_RECORD_LEN) {
+        let Ok(rec) = decode_payload(payload) else {
             break;
         };
         records.push(rec);
-        pos += 12 + len;
+        pos += used;
     }
     (records, pos)
 }
@@ -606,13 +558,35 @@ mod tests {
     }
 
     #[test]
-    fn oversized_length_prefix_is_rejected_not_allocated() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&JOURNAL_MAGIC);
-        bytes.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        let (recs, valid) = decode_records(&bytes);
-        assert!(recs.is_empty());
-        assert_eq!(valid, JOURNAL_HEADER_LEN);
+    fn an_over_long_multibyte_error_keeps_every_record() {
+        // 70,000 bytes of a two-byte character: the u16 string field
+        // cuts it, and the cut must land on a char boundary or the
+        // record (and every one after it) is lost on reopen.
+        let path = tmpfile("multibyte");
+        let (journal, _) = Journal::open(&path).unwrap();
+        let failed = |error: String| JournalRecord::CellFailed {
+            bench: "li".into(),
+            config: "E".into(),
+            width: 16,
+            error,
+        };
+        journal
+            .append(&JournalRecord::RunStarted { config: "x".into() })
+            .unwrap();
+        journal.append(&failed("é".repeat(35_000))).unwrap();
+        journal
+            .append(&JournalRecord::RunFinished { status: 2 })
+            .unwrap();
+        drop(journal);
+        let (_, recovered) = Journal::open(&path).unwrap();
+        assert_eq!(
+            recovered,
+            vec![
+                JournalRecord::RunStarted { config: "x".into() },
+                failed("é".repeat(32_767)),
+                JournalRecord::RunFinished { status: 2 },
+            ]
+        );
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 }

@@ -19,6 +19,7 @@
 
 pub mod bits;
 pub mod checksum;
+pub mod codec;
 pub mod fault;
 pub mod fxhash;
 pub mod hist;

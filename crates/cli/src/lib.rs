@@ -35,6 +35,7 @@ use ddsc_core::{
     SimResult, DEFAULT_CHUNK_SIZE,
 };
 use ddsc_dist::{run_worker, CellSpec, Coordinator, DistSinks, SchedOptions, WorkerOptions};
+use ddsc_experiments::cell::{parse_benchmark, parse_config, parse_width, render_panic};
 use ddsc_experiments::{
     convergence_study, extensions, figures, tables, CellStore, Lab, Suite, SuiteConfig, TraceCache,
 };
@@ -127,14 +128,8 @@ pub fn run(args: &[String]) -> Result<String, Box<dyn Error>> {
 /// Runs `f` under a panic guard, converting a panic into an error whose
 /// message is the rendered panic payload.
 fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, Box<dyn Error>> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        msg.into()
-    })
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .map_err(|payload| render_panic(payload.as_ref()).into())
 }
 
 fn collect<'a>(it: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
@@ -399,10 +394,7 @@ fn loadtest_cmd(args: &[&str]) -> Result<RunOutput, Box<dyn Error>> {
     let defaults = ddsc_serve::LoadtestConfig::default();
     let widths = match flag_value(args, "--widths") {
         None => defaults.widths.clone(),
-        Some(list) => list
-            .split(',')
-            .map(|w| w.trim().parse::<u32>())
-            .collect::<Result<Vec<_>, _>>()?,
+        Some(list) => parse_widths(list)?,
     };
     let cfg = ddsc_serve::LoadtestConfig {
         addr: flag_value(args, "--addr")
@@ -482,17 +474,14 @@ fn list() -> String {
 }
 
 fn parse_bench(name: &str) -> Result<Benchmark, Box<dyn Error>> {
-    Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name() == name)
-        .ok_or_else(|| format!("unknown benchmark `{name}` (try `ddsc list`)").into())
+    Ok(parse_benchmark(name).map_err(|e| format!("{e} (try `ddsc list`)"))?)
 }
 
-fn parse_config(label: &str) -> Result<PaperConfig, Box<dyn Error>> {
-    PaperConfig::ALL
-        .into_iter()
-        .find(|c| c.label().eq_ignore_ascii_case(label))
-        .ok_or_else(|| format!("unknown configuration `{label}` (A..E)").into())
+/// A comma-separated `--widths` list, each through the cell parser.
+fn parse_widths(list: &str) -> Result<Vec<u32>, Box<dyn Error>> {
+    list.split(',')
+        .map(|w| Ok(parse_width(w.trim().parse()?)?))
+        .collect()
 }
 
 fn flag_value<'a>(args: &[&'a str], flag: &str) -> Option<&'a str> {
@@ -565,7 +554,7 @@ fn sim_cmd(args: &[&str]) -> Result<String, Box<dyn Error>> {
     let name = args.first().ok_or("usage: ddsc sim <benchmark> [...]")?;
     let bench = parse_bench(name)?;
     let config = parse_config(flag_value(args, "--config").unwrap_or("D"))?;
-    let width: u32 = parse_num(args, "--width", 8)?;
+    let width = parse_width(parse_num(args, "--width", 8)?)?;
     let len: usize = parse_num(args, "--len", 300_000)?;
     let seed: u64 = parse_num(args, "--seed", 1996)?;
     let sim_config = SimConfig::paper(config, width);
@@ -649,7 +638,7 @@ fn sim_cmd(args: &[&str]) -> Result<String, Box<dyn Error>> {
 fn convergence_cmd(args: &[&str]) -> Result<String, Box<dyn Error>> {
     let bench = parse_bench(flag_value(args, "--bench").unwrap_or("li"))?;
     let config = parse_config(flag_value(args, "--config").unwrap_or("D"))?;
-    let width: u32 = parse_num(args, "--width", 8)?;
+    let width = parse_width(parse_num(args, "--width", 8)?)?;
     let seed: u64 = parse_num(args, "--seed", 1996)?;
     let chunk: usize = parse_num(args, "--chunk-size", DEFAULT_CHUNK_SIZE)?;
     let lens: Vec<usize> = match flag_value(args, "--lens") {
@@ -719,7 +708,11 @@ fn parse_cell(spec: &str) -> Result<ddsc_experiments::Cell, Box<dyn Error>> {
     let [bench, config, width] = parts.as_slice() else {
         return Err(format!("bad cell `{spec}` (expected benchmark:config:width)").into());
     };
-    Ok((parse_bench(bench)?, parse_config(config)?, width.parse()?))
+    Ok((
+        parse_bench(bench)?,
+        parse_config(config)?,
+        parse_width(width.parse()?)?,
+    ))
 }
 
 /// Runs the not-yet-cached grid cells through a coordinator + worker
@@ -728,7 +721,6 @@ fn parse_cell(spec: &str) -> Result<ddsc_experiments::Cell, Box<dyn Error>> {
 /// results keyed by the same cells, quarantined cells recorded as
 /// failures feeding the exit-2 degraded contract.
 fn distributed_prewarm(lab: &Lab, args: &[&str], nworkers: usize) -> Result<(), Box<dyn Error>> {
-    use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     let grid = lab.grid();
@@ -740,24 +732,10 @@ fn distributed_prewarm(lab: &Lab, args: &[&str], nworkers: usize) -> Result<(), 
         );
         return Ok(());
     }
-    let sc = lab.suite().config();
-    let mut by_digest: HashMap<u64, ddsc_experiments::Cell> = HashMap::new();
-    let specs: Vec<CellSpec> = todo
+    let specs = todo
         .iter()
-        .map(|&cell| {
-            let (b, c, width) = cell;
-            let digest = lab.cell_digest(cell);
-            by_digest.insert(digest, cell);
-            CellSpec {
-                bench: b.name().to_string(),
-                config: c.label().to_string(),
-                width,
-                trace_len: sc.trace_len as u64,
-                seed: sc.seed,
-                digest,
-            }
-        })
-        .collect();
+        .map(|&cell| lab.cell_key(cell).map(|key| CellSpec::from(&key)))
+        .collect::<Result<Vec<CellSpec>, String>>()?;
     let mut opts = SchedOptions::default();
     if let Some(v) = flag_value(args, "--lease-timeout") {
         // The fixed flag doubles as the adaptive floor: an explicit
@@ -814,8 +792,8 @@ fn distributed_prewarm(lab: &Lab, args: &[&str], nworkers: usize) -> Result<(), 
     let abort_after: usize = parse_num(args, "--abort-after-cells", 0)?;
     let merged = AtomicUsize::new(0);
     let on_result = |spec: &CellSpec, result: &SimResult, seconds: f64| {
-        if let Some(&cell) = by_digest.get(&spec.digest) {
-            lab.install_result(cell, result.clone(), seconds);
+        if let Ok(key) = spec.key() {
+            lab.install_result(key.cell(), result.clone(), seconds);
             let done = merged.fetch_add(1, Ordering::SeqCst) + 1;
             if abort_after > 0 && done >= abort_after {
                 eprintln!("injected abort: exiting after {done} merged cells");
@@ -824,8 +802,8 @@ fn distributed_prewarm(lab: &Lab, args: &[&str], nworkers: usize) -> Result<(), 
         }
     };
     let on_quarantine = |spec: &CellSpec, error: &str| {
-        if let Some(&cell) = by_digest.get(&spec.digest) {
-            lab.install_failure(cell, format!("quarantined by coordinator: {error}"));
+        if let Ok(key) = spec.key() {
+            lab.install_failure(key.cell(), format!("quarantined by coordinator: {error}"));
         }
     };
     let report = coord.run(&DistSinks {
@@ -1038,10 +1016,7 @@ fn repro_cmd(args: &[&str]) -> Result<RunOutput, Box<dyn Error>> {
     let len: usize = parse_num(args, "--len", 300_000)?;
     let seed: u64 = parse_num(args, "--seed", 1996)?;
     let widths: Vec<u32> = match flag_value(args, "--widths") {
-        Some(spec) => spec
-            .split(',')
-            .map(|s| s.trim().parse::<u32>())
-            .collect::<Result<_, _>>()?,
+        Some(spec) => parse_widths(spec)?,
         None => SimConfig::PAPER_WIDTHS.to_vec(),
     };
     if let Some(t) = flag_value(args, "--threads") {
@@ -1408,7 +1383,11 @@ mod tests {
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         assert_eq!(files.len(), 6);
-        assert!(files.iter().any(|f| f == "compress-s1996-n3000.bin"));
+        let compress = format!(
+            "compress-s1996-n3000-m{}.bin",
+            ddsc_experiments::MODEL_VERSION
+        );
+        assert!(files.contains(&compress), "{files:?}");
         // The warm run serves traces from disk and must render the same
         // figure byte-for-byte.
         let warm = run_strs(&args).unwrap();

@@ -233,3 +233,44 @@ fn sigkilled_coordinator_resumes_byte_identical_with_exit_0() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_width_0_distributed_run_exits_1_within_seconds() {
+    use std::io::Read as _;
+
+    let dir = tmpdir("width-0");
+    let mut child = ddsc()
+        .args(["repro", "all", "--len", "2000", "--widths", "0"])
+        .args(["--no-trace-cache", "--distributed", "2", "--dist-json"])
+        .arg(dir.join("BENCH_dist.json"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn coordinator");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        match child.try_wait().expect("try_wait") {
+            Some(status) => break Some(status),
+            None if Instant::now() >= deadline => break None,
+            None => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    if status.is_none() {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+    assert_eq!(
+        status.and_then(|s| s.code()),
+        Some(1),
+        "a width of 0 must exit 1 within 20 s"
+    );
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(stderr.contains("issue width 0"), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ddsc_core::{PaperConfig, SimConfig, SimResult};
+use ddsc_core::SimResult;
 use ddsc_util::fnv1a;
 
 use crate::estimate::{ComputeEstimator, LeaseStat};
@@ -427,14 +427,9 @@ impl DistReport {
 /// no trailing bytes, and the structural invariants the simulator
 /// guarantees. `Err` is the rejection reason.
 pub fn validate_body(spec: &CellSpec, body: &[u8]) -> Result<SimResult, String> {
-    let pc = PaperConfig::ALL
-        .iter()
-        .copied()
-        .find(|c| c.label() == spec.config)
-        .ok_or_else(|| format!("unknown config label `{}`", spec.config))?;
-    let config = SimConfig::paper(pc, spec.width);
+    let key = spec.key()?;
     let mut pos = 0usize;
-    let result = SimResult::decode(body, &mut pos, config)
+    let result = SimResult::decode(body, &mut pos, key.sim_config())
         .ok_or_else(|| "undecodable result body".to_string())?;
     if pos != body.len() {
         return Err(format!(
@@ -450,7 +445,7 @@ pub fn validate_body(spec: &CellSpec, body: &[u8]) -> Result<SimResult, String> 
     }
     // No machine issues more than `width` instructions per cycle, so
     // any valid run satisfies cycles ≥ ⌈insts / width⌉.
-    let floor = spec.trace_len.div_ceil(spec.width.max(1) as u64);
+    let floor = spec.trace_len.div_ceil(u64::from(spec.width));
     if result.cycles < floor {
         return Err(format!(
             "cycle count {} below the width-{} issue floor {floor}",
@@ -1505,6 +1500,8 @@ fn disconnect(shared: &Shared, sinks: &DistSinks<'_>, worker_id: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddsc_core::SimConfig;
+    use ddsc_experiments::cell::parse_config;
 
     fn spec(digest: u64) -> CellSpec {
         CellSpec {
@@ -1531,13 +1528,8 @@ mod tests {
     /// A valid canonical body for `spec` with the given cycle count
     /// (all other counters zero) — enough to pass ingest validation.
     fn body_for(spec: &CellSpec, cycles: u64) -> Vec<u8> {
-        let pc = PaperConfig::ALL
-            .iter()
-            .copied()
-            .find(|c| c.label() == spec.config)
-            .unwrap();
         let result = SimResult {
-            config: SimConfig::paper(pc, spec.width),
+            config: SimConfig::paper(parse_config(&spec.config).unwrap(), spec.width),
             instructions: spec.trace_len,
             cycles,
             loads: Default::default(),

@@ -3,8 +3,8 @@
 //! `ddsc-dist` runs the MICRO-29 scenario grid across worker
 //! *processes* while keeping the single-process guarantee: the merged
 //! grid is byte-identical to a local run. Cells are identified by the
-//! lab's input digests (`fnv1a(trace checksum ‖ config label ‖
-//! width)`), travel in the checksummed frames of [`ddsc_util::codec`]
+//! lab's [`CellKey`](ddsc_experiments::CellKey) digests, travel in the
+//! checksummed frames of [`ddsc_util::codec`]
 //! (the same frames `ddsc serve` speaks), and carry results as the
 //! canonical [`SimResult::encode_to`](ddsc_core::SimResult::encode_to)
 //! bytes the cell store persists — so "merge" is just "insert the first

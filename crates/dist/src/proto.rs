@@ -30,6 +30,8 @@
 
 use std::io::{Read, Write};
 
+use ddsc_experiments::CellKey;
+
 pub use ddsc_util::codec::WireError;
 use ddsc_util::codec::{put_bytes, put_str, read_frame, write_frame, Reader, MAX_FRAME_LEN};
 
@@ -40,10 +42,11 @@ pub const DIST_VERSION: u8 = 2;
 
 /// One grid cell as the coordinator dispatches it: the full input
 /// identity (benchmark, config label, width, trace length, seed) plus
-/// the cell digest the result will be keyed by. The worker recomputes
-/// the digest from its own trace bytes and refuses the cell on any
-/// mismatch — catching binary or workload drift before it can produce a
-/// plausible-but-wrong result.
+/// the cell digest the result will be keyed by. The worker parses the
+/// identity into a [`CellKey`], recomputes the digest and refuses the
+/// cell on any mismatch — catching a binary whose `SimConfig` or
+/// [`MODEL_VERSION`](ddsc_experiments::MODEL_VERSION) differs before it
+/// can produce a plausible-but-wrong result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellSpec {
     /// Benchmark short name (`compress`, `li`, ...).
@@ -56,9 +59,36 @@ pub struct CellSpec {
     pub trace_len: u64,
     /// Workload data seed.
     pub seed: u64,
-    /// `fnv1a(trace checksum ‖ config label ‖ width)` — the same digest
-    /// the lab journals and the cell store keys by.
+    /// [`CellKey::digest`] — the same digest the lab journals and the
+    /// cell store keys by.
     pub digest: u64,
+}
+
+impl CellSpec {
+    /// Parses the spec's input identity into its [`CellKey`].
+    pub fn key(&self) -> Result<CellKey, String> {
+        CellKey::parse(
+            &self.bench,
+            &self.config,
+            self.width,
+            self.seed,
+            self.trace_len,
+        )
+    }
+}
+
+impl From<&CellKey> for CellSpec {
+    fn from(key: &CellKey) -> CellSpec {
+        let ((b, c, width), (_, seed, trace_len)) = (key.cell(), key.trace());
+        CellSpec {
+            bench: b.name().to_string(),
+            config: c.label().to_string(),
+            width,
+            trace_len,
+            seed,
+            digest: key.digest(),
+        }
+    }
 }
 
 /// A frame from a worker to the coordinator.

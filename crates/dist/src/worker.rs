@@ -7,14 +7,14 @@
 //!   the `ddsc-util` [`Backoff`] schedule; when the coordinator stays
 //!   unreachable (it finished and exited, or crashed for good) the
 //!   worker exits cleanly rather than spinning.
-//! - **Digest verification** — before simulating, the worker recomputes
-//!   the cell digest from its *own* trace bytes
-//!   (`fnv1a(trace checksum ‖ config label ‖ width)`); a mismatch means
-//!   worker/coordinator drift (different binary, workload code or
-//!   seed), reported as a failure instead of silently producing bytes
-//!   that could never merge.
-//! - **Containment** — a panicking simulation is caught and reported as
-//!   [`WorkerMsg::Failed`]; the worker lives on to compute other cells.
+//! - **Digest verification** — before simulating, the worker parses the
+//!   spec into a [`CellKey`](ddsc_experiments::CellKey) and recomputes
+//!   its digest; an unparseable spec or a mismatch (worker/coordinator
+//!   drift in `SimConfig` or model version) is reported as a failure
+//!   instead of bytes that could never merge.
+//! - **Containment** — a panicking simulation is caught by the
+//!   [`CellRunner`] and reported as [`WorkerMsg::Failed`]; the worker
+//!   lives on to compute other cells.
 //! - **Heartbeats** — a background thread emits one-way heartbeats
 //!   while the main thread computes, so a long cell does not read as a
 //!   dead worker.
@@ -24,16 +24,16 @@
 //! amortization [`ddsc_experiments`]'s lab does per process, and the
 //! reason a small worker fleet scales near-linearly on the paper grid.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{self, BufReader, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ddsc_core::{simulate_prepared, PaperConfig, PreparedTrace, SimConfig};
-use ddsc_trace::io::write_trace;
-use ddsc_util::{fnv1a, Backoff};
+use ddsc_core::PreparedTrace;
+use ddsc_experiments::CellRunner;
+use ddsc_util::Backoff;
 use ddsc_workloads::Benchmark;
 
 use crate::proto::{read_coord_msg, write_worker_msg, CellSpec, CoordMsg, WorkerMsg};
@@ -85,14 +85,8 @@ enum SessionEnd {
     Lost,
 }
 
-/// One prepared benchmark trace plus its serialized checksum, memoized
-/// per `(bench, seed, len)`.
-struct PreparedCell {
-    checksum: u64,
-    prepared: Arc<PreparedTrace>,
-}
-
-type PrepCache = HashMap<(String, u64, u64), PreparedCell>;
+/// Prepared benchmark traces, memoized per `(bench, seed, len)`.
+type PrepCache = HashMap<(Benchmark, u64, u64), Arc<PreparedTrace>>;
 
 /// Runs a worker until the coordinator reports the grid complete (or
 /// stays unreachable through the whole backoff schedule — also a clean
@@ -277,42 +271,11 @@ fn compute_with(
     cache: &mut PrepCache,
     byzantine: bool,
 ) -> Result<(Vec<u8>, f64), String> {
-    let bench = Benchmark::ALL
-        .iter()
-        .copied()
-        .find(|b| b.name() == spec.bench)
-        .ok_or_else(|| format!("unknown benchmark `{}`", spec.bench))?;
-    let pc = PaperConfig::ALL
-        .iter()
-        .copied()
-        .find(|c| c.label() == spec.config)
-        .ok_or_else(|| format!("unknown config label `{}`", spec.config))?;
-    let t0 = Instant::now();
-    let key = (spec.bench.clone(), spec.seed, spec.trace_len);
-    if !cache.contains_key(&key) {
-        let trace = bench
-            .trace(spec.seed, spec.trace_len as usize)
-            .map_err(|e| format!("trace generation failed: {e}"))?;
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &trace).map_err(|e| format!("trace serialization failed: {e}"))?;
-        cache.insert(
-            key.clone(),
-            PreparedCell {
-                checksum: fnv1a(&bytes),
-                prepared: Arc::new(PreparedTrace::build(&trace)),
-            },
-        );
-    }
-    let cell = &cache[&key];
-
-    // Recompute the digest from our own bytes: catches any drift
-    // between this binary and the coordinator before it can produce a
-    // result that looks mergeable.
-    let mut ident = Vec::new();
-    ident.extend_from_slice(&cell.checksum.to_le_bytes());
-    ident.extend_from_slice(spec.config.as_bytes());
-    ident.extend_from_slice(&spec.width.to_le_bytes());
-    let digest = fnv1a(&ident);
+    let key = spec.key()?;
+    // Recompute the digest: catches any drift between this binary and
+    // the coordinator before it can produce a result that looks
+    // mergeable.
+    let digest = key.digest();
     if digest != spec.digest {
         return Err(format!(
             "cell digest mismatch: worker computed {digest:#x}, coordinator sent {:#x} \
@@ -320,13 +283,14 @@ fn compute_with(
             spec.digest
         ));
     }
-
-    let config = SimConfig::paper(pc, spec.width);
-    let prepared = Arc::clone(&cell.prepared);
-    let mut result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        simulate_prepared(&prepared, &config)
-    }))
-    .map_err(|payload| format!("cell panicked: {}", panic_message(payload.as_ref())))?;
+    let t0 = Instant::now();
+    let run = CellRunner::default()
+        .run(&key, || match cache.entry(key.trace()) {
+            Entry::Occupied(hit) => Ok(Arc::clone(hit.get())),
+            Entry::Vacant(miss) => Ok(Arc::clone(miss.insert(key.prepare()?))),
+        })
+        .map_err(|e| e.to_string())?;
+    let mut result = run.result;
     if byzantine {
         // Deterministic perturbation: always an over-count, so the lie
         // cannot collide with the honest value and is itself stable
@@ -339,42 +303,14 @@ fn compute_with(
     Ok((body, t0.elapsed().as_secs_f64()))
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddsc_core::{simulate_prepared, PaperConfig};
+    use ddsc_experiments::CellKey;
 
     fn spec_for(bench: &str, config: &str, width: u32, len: u64) -> CellSpec {
-        // Recompute the digest the same way the lab does.
-        let b = Benchmark::ALL
-            .iter()
-            .copied()
-            .find(|b| b.name() == bench)
-            .unwrap();
-        let trace = b.trace(1996, len as usize).unwrap();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &trace).unwrap();
-        let mut ident = Vec::new();
-        ident.extend_from_slice(&fnv1a(&bytes).to_le_bytes());
-        ident.extend_from_slice(config.as_bytes());
-        ident.extend_from_slice(&width.to_le_bytes());
-        CellSpec {
-            bench: bench.into(),
-            config: config.into(),
-            width,
-            trace_len: len,
-            seed: 1996,
-            digest: fnv1a(&ident),
-        }
+        CellSpec::from(&CellKey::parse(bench, config, width, 1996, len).unwrap())
     }
 
     #[test]
@@ -383,14 +319,9 @@ mod tests {
         let mut cache = PrepCache::new();
         let (body, seconds) = compute_with(&spec, &mut cache, false).expect("cell computes");
         assert!(seconds >= 0.0);
-        let b = Benchmark::ALL
-            .iter()
-            .copied()
-            .find(|b| b.name() == "compress")
-            .unwrap();
-        let trace = b.trace(1996, 2000).unwrap();
+        let trace = Benchmark::Compress.trace(1996, 2000).unwrap();
         let prepared = PreparedTrace::build(&trace);
-        let config = SimConfig::paper(PaperConfig::D, 4);
+        let config = ddsc_core::SimConfig::paper(PaperConfig::D, 4);
         let local = simulate_prepared(&prepared, &config);
         let mut expected = Vec::new();
         local.encode_to(&mut expected);
@@ -426,6 +357,7 @@ mod tests {
         let mut cache = PrepCache::new();
         let err = compute_with(&spec, &mut cache, false).unwrap_err();
         assert!(err.contains("digest mismatch"), "{err}");
+        assert!(cache.is_empty(), "no trace was generated");
     }
 
     #[test]
@@ -441,5 +373,14 @@ mod tests {
         assert!(compute_with(&spec, &mut cache, false)
             .unwrap_err()
             .contains("unknown config"));
+    }
+
+    #[test]
+    fn a_width_0_spec_is_a_reported_failure_not_a_panic() {
+        let mut spec = spec_for("compress", "A", 4, 1000);
+        spec.width = 0;
+        let mut cache = PrepCache::new();
+        let err = compute_with(&spec, &mut cache, false).unwrap_err();
+        assert!(err.contains("issue width 0"), "{err}");
     }
 }

@@ -12,51 +12,28 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use ddsc_core::{simulate_prepared, PaperConfig, PreparedTrace, SimConfig};
+use ddsc_core::{simulate_prepared, PaperConfig, PreparedTrace};
 use ddsc_dist::{Assignment, CellSpec, Ingest, SchedOptions, Scheduler};
-use ddsc_trace::io::write_trace;
-use ddsc_util::{fnv1a, Pcg32};
+use ddsc_experiments::CellKey;
+use ddsc_util::Pcg32;
 use ddsc_workloads::Benchmark;
 
 const SEED: u64 = 1996;
 const LEN: u64 = 1200;
 
-fn bench(name: &str) -> Benchmark {
-    Benchmark::ALL
-        .iter()
-        .copied()
-        .find(|b| b.name() == name)
-        .unwrap()
-}
-
 /// The grid under test with each cell's canonical result bytes — what
 /// an undisturbed single-process run merges.
 fn grid_with_bodies() -> Vec<(CellSpec, Vec<u8>)> {
     let mut out = Vec::new();
-    for bench_name in ["compress", "li"] {
-        let trace = bench(bench_name).trace(SEED, LEN as usize).unwrap();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &trace).unwrap();
-        let checksum = fnv1a(&bytes);
-        let prepared = PreparedTrace::build(&trace);
+    for bench in [Benchmark::Compress, Benchmark::Li] {
+        let prepared = PreparedTrace::build(&bench.trace(SEED, LEN as usize).unwrap());
         for config in [PaperConfig::A, PaperConfig::D] {
             for width in [4u32, 8] {
-                let mut ident = Vec::new();
-                ident.extend_from_slice(&checksum.to_le_bytes());
-                ident.extend_from_slice(config.label().as_bytes());
-                ident.extend_from_slice(&width.to_le_bytes());
-                let spec = CellSpec {
-                    bench: bench_name.into(),
-                    config: config.label().into(),
-                    width,
-                    trace_len: LEN,
-                    seed: SEED,
-                    digest: fnv1a(&ident),
-                };
-                let result = simulate_prepared(&prepared, &SimConfig::paper(config, width));
+                let key = CellKey::new((bench, config, width), SEED, LEN).unwrap();
+                let result = simulate_prepared(&prepared, &key.sim_config());
                 let mut body = Vec::new();
                 result.encode_to(&mut body);
-                out.push((spec, body));
+                out.push((CellSpec::from(&key), body));
             }
         }
     }

@@ -11,14 +11,13 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
-use ddsc_core::{simulate_prepared, PaperConfig, PreparedTrace, SimConfig, SimResult};
+use ddsc_core::{simulate_prepared, PaperConfig, PreparedTrace, SimResult};
 use ddsc_dist::chaos::script;
 use ddsc_dist::{
     run_worker, CellSpec, ChaosOptions, ChaosProxy, Coordinator, DistSinks, SchedOptions,
     WorkerOptions,
 };
-use ddsc_trace::io::write_trace;
-use ddsc_util::fnv1a;
+use ddsc_experiments::CellKey;
 use ddsc_workloads::Benchmark;
 
 const SEED: u64 = 1996;
@@ -28,35 +27,16 @@ const CHAOS_SEED: u64 = 0xC4A05;
 fn grid() -> &'static Vec<(CellSpec, Vec<u8>)> {
     static GRID: OnceLock<Vec<(CellSpec, Vec<u8>)>> = OnceLock::new();
     GRID.get_or_init(|| {
-        let bench = Benchmark::ALL
-            .iter()
-            .copied()
-            .find(|b| b.name() == "compress")
-            .unwrap();
-        let trace = bench.trace(SEED, LEN as usize).unwrap();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &trace).unwrap();
-        let checksum = fnv1a(&bytes);
-        let prepared = PreparedTrace::build(&trace);
+        let bench = Benchmark::Compress;
+        let prepared = PreparedTrace::build(&bench.trace(SEED, LEN as usize).unwrap());
         let mut out = Vec::new();
         for config in [PaperConfig::A, PaperConfig::D] {
             for width in [4u32, 8] {
-                let mut ident = Vec::new();
-                ident.extend_from_slice(&checksum.to_le_bytes());
-                ident.extend_from_slice(config.label().as_bytes());
-                ident.extend_from_slice(&width.to_le_bytes());
-                let spec = CellSpec {
-                    bench: "compress".into(),
-                    config: config.label().into(),
-                    width,
-                    trace_len: LEN,
-                    seed: SEED,
-                    digest: fnv1a(&ident),
-                };
-                let result = simulate_prepared(&prepared, &SimConfig::paper(config, width));
+                let key = CellKey::new((bench, config, width), SEED, LEN).unwrap();
+                let result = simulate_prepared(&prepared, &key.sim_config());
                 let mut body = Vec::new();
                 result.encode_to(&mut body);
-                out.push((spec, body));
+                out.push((CellSpec::from(&key), body));
             }
         }
         out

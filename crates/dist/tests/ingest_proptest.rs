@@ -14,11 +14,12 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use ddsc_core::{simulate_prepared, PaperConfig, PreparedTrace, SimConfig};
+use ddsc_core::{simulate_prepared, PaperConfig};
 use ddsc_dist::proto::{read_worker_msg, write_worker_msg};
 use ddsc_dist::{validate_body, Assignment, CellSpec, Ingest, SchedOptions, Scheduler, WorkerMsg};
-use ddsc_trace::io::write_trace;
-use ddsc_util::{fnv1a, FaultPlan};
+use ddsc_experiments::CellKey;
+use ddsc_util::FaultPlan;
+use ddsc_workloads::Benchmark;
 use proptest::prelude::*;
 
 /// One real cell with its canonical result body, computed once: the
@@ -26,32 +27,11 @@ use proptest::prelude::*;
 fn fixture() -> &'static (CellSpec, Vec<u8>) {
     static FIXTURE: OnceLock<(CellSpec, Vec<u8>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let bench = ddsc_workloads::Benchmark::ALL
-            .iter()
-            .copied()
-            .find(|b| b.name() == "compress")
-            .unwrap();
-        let (config, width, len) = (PaperConfig::D, 4u32, 1200u64);
-        let trace = bench.trace(1996, len as usize).unwrap();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &trace).unwrap();
-        let mut ident = Vec::new();
-        ident.extend_from_slice(&fnv1a(&bytes).to_le_bytes());
-        ident.extend_from_slice(config.label().as_bytes());
-        ident.extend_from_slice(&width.to_le_bytes());
-        let spec = CellSpec {
-            bench: "compress".into(),
-            config: config.label().into(),
-            width,
-            trace_len: len,
-            seed: 1996,
-            digest: fnv1a(&ident),
-        };
-        let prepared = PreparedTrace::build(&trace);
-        let result = simulate_prepared(&prepared, &SimConfig::paper(config, width));
+        let key = CellKey::new((Benchmark::Compress, PaperConfig::D, 4), 1996, 1200).unwrap();
+        let result = simulate_prepared(&key.prepare().unwrap(), &key.sim_config());
         let mut body = Vec::new();
         result.encode_to(&mut body);
-        (spec, body)
+        (CellSpec::from(&key), body)
     })
 }
 

@@ -8,57 +8,28 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::thread;
 
-use ddsc_core::{simulate_prepared, PaperConfig, PreparedTrace, SimConfig};
+use ddsc_core::simulate_prepared;
 use ddsc_dist::proto::{read_coord_msg, write_worker_msg};
 use ddsc_dist::{
     run_worker, CellSpec, CoordMsg, Coordinator, DistSinks, SchedOptions, WorkerMsg, WorkerOptions,
 };
-use ddsc_trace::io::write_trace;
-use ddsc_util::fnv1a;
-use ddsc_workloads::Benchmark;
+use ddsc_experiments::CellKey;
 
 const SEED: u64 = 1996;
 
-fn bench(name: &str) -> Benchmark {
-    Benchmark::ALL
-        .iter()
-        .copied()
-        .find(|b| b.name() == name)
-        .expect("known benchmark")
+fn key_for(bench: &str, config: &str, width: u32, len: u64) -> CellKey {
+    CellKey::parse(bench, config, width, SEED, len).unwrap()
 }
 
-/// A cell spec whose digest matches what a worker will recompute from
-/// its own trace bytes — the lab's `fnv1a(checksum ‖ label ‖ width)`.
-fn spec_for(bench_name: &str, config: &str, width: u32, len: u64) -> CellSpec {
-    let trace = bench(bench_name).trace(SEED, len as usize).unwrap();
-    let mut bytes = Vec::new();
-    write_trace(&mut bytes, &trace).unwrap();
-    let mut ident = Vec::new();
-    ident.extend_from_slice(&fnv1a(&bytes).to_le_bytes());
-    ident.extend_from_slice(config.as_bytes());
-    ident.extend_from_slice(&width.to_le_bytes());
-    CellSpec {
-        bench: bench_name.into(),
-        config: config.into(),
-        width,
-        trace_len: len,
-        seed: SEED,
-        digest: fnv1a(&ident),
-    }
+/// A cell spec whose digest matches what a worker will recompute.
+fn spec_for(bench: &str, config: &str, width: u32, len: u64) -> CellSpec {
+    CellSpec::from(&key_for(bench, config, width, len))
 }
 
 /// The canonical result bytes a local single-process run produces.
 fn local_body(spec: &CellSpec) -> Vec<u8> {
-    let trace = bench(&spec.bench)
-        .trace(spec.seed, spec.trace_len as usize)
-        .unwrap();
-    let prepared = PreparedTrace::build(&trace);
-    let config = PaperConfig::ALL
-        .iter()
-        .copied()
-        .find(|c| c.label() == spec.config)
-        .unwrap();
-    let result = simulate_prepared(&prepared, &SimConfig::paper(config, spec.width));
+    let key = key_for(&spec.bench, &spec.config, spec.width, spec.trace_len);
+    let result = simulate_prepared(&key.prepare().unwrap(), &key.sim_config());
     let mut body = Vec::new();
     result.encode_to(&mut body);
     body

@@ -21,8 +21,8 @@ use ddsc_dist::{
     run_worker, Assignment, CellSpec, Coordinator, DistSinks, Ingest, SchedOptions, Scheduler,
     WorkerOptions,
 };
-use ddsc_trace::io::write_trace;
-use ddsc_util::fnv1a;
+use ddsc_experiments::cell::parse_config;
+use ddsc_experiments::CellKey;
 use ddsc_workloads::Benchmark;
 use proptest::prelude::*;
 
@@ -34,35 +34,16 @@ const LEN: u64 = 1200;
 fn grid() -> &'static Vec<(CellSpec, Vec<u8>)> {
     static GRID: OnceLock<Vec<(CellSpec, Vec<u8>)>> = OnceLock::new();
     GRID.get_or_init(|| {
-        let bench = Benchmark::ALL
-            .iter()
-            .copied()
-            .find(|b| b.name() == "compress")
-            .unwrap();
-        let trace = bench.trace(SEED, LEN as usize).unwrap();
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &trace).unwrap();
-        let checksum = fnv1a(&bytes);
-        let prepared = PreparedTrace::build(&trace);
+        let bench = Benchmark::Compress;
+        let prepared = PreparedTrace::build(&bench.trace(SEED, LEN as usize).unwrap());
         let mut out = Vec::new();
         for config in [PaperConfig::A, PaperConfig::D] {
             for width in [4u32, 8] {
-                let mut ident = Vec::new();
-                ident.extend_from_slice(&checksum.to_le_bytes());
-                ident.extend_from_slice(config.label().as_bytes());
-                ident.extend_from_slice(&width.to_le_bytes());
-                let spec = CellSpec {
-                    bench: "compress".into(),
-                    config: config.label().into(),
-                    width,
-                    trace_len: LEN,
-                    seed: SEED,
-                    digest: fnv1a(&ident),
-                };
-                let result = simulate_prepared(&prepared, &SimConfig::paper(config, width));
+                let key = CellKey::new((bench, config, width), SEED, LEN).unwrap();
+                let result = simulate_prepared(&prepared, &key.sim_config());
                 let mut body = Vec::new();
                 result.encode_to(&mut body);
-                out.push((spec, body));
+                out.push((CellSpec::from(&key), body));
             }
         }
         out
@@ -73,11 +54,7 @@ fn grid() -> &'static Vec<(CellSpec, Vec<u8>)> {
 /// the honest result, inflate the cycle count, re-encode canonically.
 /// Well-formed, stable across re-computation, never equal to the truth.
 fn perturb(spec: &CellSpec, clean: &[u8]) -> Vec<u8> {
-    let pc = PaperConfig::ALL
-        .iter()
-        .copied()
-        .find(|c| c.label() == spec.config)
-        .unwrap();
+    let pc = parse_config(&spec.config).unwrap();
     let mut pos = 0;
     let mut result = SimResult::decode(clean, &mut pos, SimConfig::paper(pc, spec.width))
         .expect("clean decodes");

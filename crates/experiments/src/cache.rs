@@ -4,8 +4,9 @@
 //! so a generated trace never changes — regenerating it at every
 //! `ddsc repro` invocation is pure waste once traces get long. A
 //! [`TraceCache`] stores each trace as one file
-//! (`{benchmark}-s{seed}-n{len}.bin`, conventionally under
-//! `results/traces/`) and serves it back on the next run.
+//! (`{benchmark}-s{seed}-n{len}-m{MODEL_VERSION}.bin`, conventionally
+//! under `results/traces/`) and serves it back on the next run; a
+//! version bump makes every older trace miss.
 //!
 //! # Chunked format (version 2)
 //!
@@ -51,6 +52,8 @@ use ddsc_trace::{SliceSource, SourceError, Trace, TraceInst, TraceSource};
 use ddsc_util::codec::{Reader, WireError};
 use ddsc_util::fault::{is_transient, Backoff};
 use ddsc_util::{fnv1a, publish_atomic_with};
+
+use crate::cell::MODEL_VERSION;
 
 /// Cache-file magic: "DDSC Trace Cache".
 const MAGIC: &[u8; 4] = b"DDTC";
@@ -148,7 +151,8 @@ impl TraceCache {
 
     /// The file a given generation key lives at.
     pub fn path_for(&self, name: &str, seed: u64, len: usize) -> PathBuf {
-        self.dir.join(format!("{name}-s{seed}-n{len}.bin"))
+        self.dir
+            .join(format!("{name}-s{seed}-n{len}-m{MODEL_VERSION}.bin"))
     }
 
     fn take_injected_fault(&self) -> Option<CacheError> {
@@ -557,6 +561,28 @@ mod tests {
     }
 
     #[test]
+    fn entries_of_another_model_version_miss() {
+        let cache = TraceCache::new(tmpdir("versions"));
+        cache.store("sample", 3, 80, &sample(80)).unwrap();
+        let current = cache.path_for("sample", 3, 80);
+        // Valid files under the names another version gives the key:
+        // the unversioned name of the first cache and the previous
+        // version's.
+        for foreign in [
+            "sample-s3-n80.bin".to_string(),
+            format!("sample-s3-n80-m{}.bin", MODEL_VERSION - 1),
+        ] {
+            fs::copy(&current, cache.dir().join(foreign)).unwrap();
+        }
+        fs::remove_file(&current).unwrap();
+        assert!(matches!(
+            cache.try_load("sample", 3, 80),
+            Err(CacheError::Missing)
+        ));
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
     fn corruption_is_detected() {
         let cache = TraceCache::new(tmpdir("corrupt"));
         let t = sample(80);
@@ -716,7 +742,7 @@ mod tests {
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert_eq!(entries, vec!["sample-s1-n20.bin".to_string()]);
+        assert_eq!(entries, vec![format!("sample-s1-n20-m{MODEL_VERSION}.bin")]);
         let _ = fs::remove_dir_all(cache.dir());
     }
 

@@ -16,8 +16,9 @@
 //!   FNV-1a checksum of the payload — any mismatch makes
 //!   [`CellStore::load`] return `None` and the cell simply re-runs;
 //! * the configuration is *not* stored; the caller reconstructs it from
-//!   the cell key it looked the digest up under, so a stale entry
-//!   (config drift changes the digest) is unloadable by construction;
+//!   the [`CellKey`](crate::CellKey) whose digest it looked up. Entries
+//!   of other inputs or another [`MODEL_VERSION`](crate::MODEL_VERSION)
+//!   are never looked up, but only a version bump tells models apart;
 //! * the store is an optimisation: a failed save is reported but the
 //!   in-memory result is already correct.
 

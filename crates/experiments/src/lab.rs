@@ -30,32 +30,19 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use ddsc_core::{
-    simulate_prepared, simulate_with_metrics, try_simulate_prepared, try_simulate_with_metrics,
-    CancelToken, CycleAttribution, PaperConfig, PreparedTrace, SimConfig, SimMetrics, SimResult,
-    TraceValidator,
+    CycleAttribution, PaperConfig, PreparedTrace, SimConfig, SimMetrics, SimResult, TraceValidator,
 };
-use ddsc_trace::io::write_trace;
 use ddsc_trace::Trace;
-use ddsc_util::fnv1a;
 use ddsc_util::journal::{Journal, JournalRecord};
 use ddsc_workloads::Benchmark;
 
 use crate::cache::CacheError;
+use crate::cell::{Cell, CellError, CellKey, CellRunner};
 use crate::cellstore::CellStore;
 use crate::parallel::{num_threads, par_map};
 
 /// Transient cache-read retries before falling back to regeneration.
 const CACHE_RETRIES: usize = 3;
-
-/// Prefix of the panic message a cell raises when it exceeds its
-/// wall-clock budget ([`Lab::with_cell_timeout`]). Containment sites
-/// classify a contained failure as a timeout by this prefix, so the
-/// cancellation signal survives the panic-payload round trip without a
-/// side channel.
-const TIMEOUT_PREFIX: &str = "cell timed out";
-
-/// One cell of the experiment grid.
-pub type Cell = (Benchmark, PaperConfig, u32);
 
 /// Parameters for one reproduction run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,18 +176,6 @@ impl Suite {
             .1
     }
 
-    /// The trace of one benchmark, shared.
-    pub fn trace_arc(&self, b: Benchmark) -> Arc<Trace> {
-        Arc::clone(
-            &self
-                .traces
-                .iter()
-                .find(|(x, _)| *x == b)
-                .expect("suite has all benchmarks")
-                .1,
-        )
-    }
-
     /// The suite parameters.
     pub fn config(&self) -> &SuiteConfig {
         &self.config
@@ -322,11 +297,21 @@ pub struct CellFailure {
 }
 
 impl CellFailure {
-    fn from_message(error: String) -> CellFailure {
-        CellFailure {
-            timed_out: error.starts_with(TIMEOUT_PREFIX),
-            error,
-        }
+    /// The lab's wording of a runner failure: panics and input errors
+    /// keep their own message, a timeout names the cell and budget.
+    fn of((b, c, width): Cell, e: CellError) -> CellFailure {
+        let timed_out = matches!(e, CellError::TimedOut(_));
+        let error = match e {
+            CellError::Input(error) | CellError::Panicked(error) => error,
+            CellError::TimedOut(budget) => format!(
+                "cell timed out: cell ({}, config {}, width {width}) exceeded its {:.3} s \
+                 wall-clock budget",
+                b.models(),
+                c.label(),
+                budget.as_secs_f64()
+            ),
+        };
+        CellFailure { error, timed_out }
     }
 
     fn into_outcome(self) -> CellOutcome {
@@ -354,17 +339,6 @@ pub struct FailedCell {
     pub error: String,
 }
 
-/// Renders a caught panic payload (`&str` or `String` in practice).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Escapes a string for the hand-rolled JSON output (failure messages
 /// are free-form and may contain quotes or newlines).
 fn json_escape(s: &str) -> String {
@@ -386,24 +360,15 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// The run-supervision hooks of one lab: the write-ahead journal every
-/// cell transition is appended to, and the on-disk store finished cell
-/// results are published into (so a resumed run can restore them).
-#[derive(Debug)]
-struct Supervision {
-    journal: Arc<Journal>,
-    store: CellStore,
-}
-
 /// A thread-safe memoising simulation driver: each `(benchmark,
 /// configuration, width)` triple is simulated at most once per lab.
 #[derive(Debug)]
 pub struct Lab {
     suite: Suite,
     cache: RwLock<HashMap<Cell, Arc<SimResult>>>,
-    /// When set, every cell also runs the metrics observer and its
-    /// [`SimMetrics`] are cached alongside the result.
-    profiling: bool,
+    /// Executes every cell: deadline, metrics observer (whose
+    /// [`SimMetrics`] are cached alongside the result), supervision.
+    runner: CellRunner,
     metrics: RwLock<HashMap<Cell, Arc<SimMetrics>>>,
     /// One lazily-built analysis pre-pass per benchmark, shared by every
     /// cell that simulates that benchmark.
@@ -423,12 +388,6 @@ pub struct Lab {
     /// their rendered failure messages. Lookups of a recorded cell fail
     /// fast with the same message instead of re-running the simulation.
     failed: RwLock<HashMap<Cell, CellFailure>>,
-    /// Per-cell wall-clock budget; cells exceeding it are cancelled
-    /// cooperatively and recorded as timed out. `None` (the default)
-    /// keeps the timing loop on the uncancellable hot path.
-    cell_timeout: Option<Duration>,
-    /// Journal + cell store, when this lab runs supervised.
-    supervision: Option<Supervision>,
     /// Deterministic crash hook: exit the *process* once this many
     /// cells have finished. Crash-consistency tests use it to die
     /// between journal records at a reproducible point.
@@ -439,9 +398,6 @@ pub struct Lab {
     resumed: AtomicUsize,
     /// Cells the journal named but that had to be re-run.
     replayed: AtomicUsize,
-    /// Memoized FNV-1a checksum of each benchmark's serialized trace —
-    /// the trace component of [`Lab::cell_digest`].
-    trace_checksums: Mutex<HashMap<Benchmark, u64>>,
 }
 
 impl Lab {
@@ -456,7 +412,7 @@ impl Lab {
         Lab {
             suite,
             cache: RwLock::new(HashMap::new()),
-            profiling: false,
+            runner: CellRunner::default(),
             metrics: RwLock::new(HashMap::new()),
             prepared,
             prepass_timings: Mutex::new(Vec::new()),
@@ -464,13 +420,10 @@ impl Lab {
             prewarm_wall: Mutex::new(0.0),
             injected_faults: HashSet::new(),
             failed: RwLock::new(HashMap::new()),
-            cell_timeout: None,
-            supervision: None,
             abort_after: None,
             completed: AtomicUsize::new(0),
             resumed: AtomicUsize::new(0),
             replayed: AtomicUsize::new(0),
-            trace_checksums: Mutex::new(HashMap::new()),
         }
     }
 
@@ -490,13 +443,13 @@ impl Lab {
     /// uncancellable hot path — arming a timeout is the only thing that
     /// puts the poll in the loop.
     pub fn with_cell_timeout(mut self, budget: Duration) -> Lab {
-        self.cell_timeout = Some(budget);
+        self.runner.deadline = Some(budget);
         self
     }
 
     /// The per-cell wall-clock budget, if one is armed.
     pub fn cell_timeout(&self) -> Option<Duration> {
-        self.cell_timeout
+        self.runner.deadline
     }
 
     /// Supervises this lab's run: every cell transition is appended to
@@ -505,7 +458,7 @@ impl Lab {
     /// `store`, keyed by [`Lab::cell_digest`]. Together they make a
     /// killed run resumable — see [`Lab::resume`].
     pub fn with_supervision(mut self, journal: Arc<Journal>, store: CellStore) -> Lab {
-        self.supervision = Some(Supervision { journal, store });
+        self.runner.supervision = Some((journal, store));
         self
     }
 
@@ -526,13 +479,13 @@ impl Lab {
     /// `ddsc-core` bit-identity tests); the only cost is the bookkeeping
     /// itself, so profiling is opt-in per lab rather than per call.
     pub fn with_profiling(mut self) -> Lab {
-        self.profiling = true;
+        self.runner.metrics = true;
         self
     }
 
     /// Whether this lab records [`SimMetrics`] per cell.
     pub fn is_profiling(&self) -> bool {
-        self.profiling
+        self.runner.metrics
     }
 
     /// The analysis pre-pass of one benchmark, built on first use and
@@ -593,169 +546,83 @@ impl Lab {
             .map(Arc::clone)
     }
 
-    /// The FNV-1a checksum of one benchmark's serialized trace,
-    /// computed once per lab. Racing callers serialize on the map lock
-    /// so the (cheap but not free) serialization runs at most once.
-    fn trace_checksum(&self, b: Benchmark) -> u64 {
-        let mut map = self
-            .trace_checksums
-            .lock()
-            .expect("lab trace checksums poisoned");
-        if let Some(&sum) = map.get(&b) {
-            return sum;
-        }
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, self.suite.trace(b)).expect("in-memory writes cannot fail");
-        let sum = fnv1a(&bytes);
-        map.insert(b, sum);
-        sum
+    /// The key naming one grid cell of this lab's suite; fails on a
+    /// width of 0.
+    pub fn cell_key(&self, cell: Cell) -> Result<CellKey, String> {
+        let sc = self.suite.config();
+        CellKey::new(cell, sc.seed, sc.trace_len as u64)
     }
 
-    /// The identity of one cell's *inputs*: an FNV-1a digest of the
-    /// serialized trace checksum, the configuration label and the issue
-    /// width. Simulation is a pure function of exactly those inputs, so
-    /// a journal record carrying a matching digest proves the stored
-    /// result is the one this lab would recompute — and any drift
-    /// (different seed, trace length, workload code, config) changes
-    /// the digest and forces a re-run.
-    pub fn cell_digest(&self, (b, c, width): Cell) -> u64 {
-        let mut key = Vec::new();
-        key.extend_from_slice(&self.trace_checksum(b).to_le_bytes());
-        key.extend_from_slice(c.label().as_bytes());
-        key.extend_from_slice(&width.to_le_bytes());
-        fnv1a(&key)
+    /// The identity of one cell's inputs, [`CellKey::digest`]: a journal
+    /// record with a matching digest proves the stored result is the one
+    /// this lab would recompute. Panics on a width of 0.
+    pub fn cell_digest(&self, cell: Cell) -> u64 {
+        self.cell_key(cell)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .digest()
     }
 
-    /// Appends one record to the supervision journal, if supervision is
-    /// on. Journal I/O failures degrade the run to unsupervised (with a
-    /// warning) rather than failing it — the journal exists to make
-    /// crashes recoverable, not to add a new way to crash.
-    fn journal_append(&self, rec: &JournalRecord) {
-        if let Some(sup) = &self.supervision {
-            if let Err(e) = sup.journal.append(rec) {
-                eprintln!("warning: could not append to run journal: {e}");
-            }
-        }
-    }
-
-    /// Records one contained cell failure (classifying timeouts by
-    /// message prefix), journals it, and returns what was stored. The
-    /// first recording of a cell wins; duplicates neither overwrite nor
-    /// re-journal.
-    fn record_failure(&self, cell: Cell, message: String) -> CellFailure {
+    /// Records one contained cell failure and journals it, returning
+    /// what was stored. The first recording of a cell wins; duplicates
+    /// neither overwrite nor re-journal.
+    fn record_failure(&self, cell: Cell, failure: CellFailure) -> CellFailure {
         {
             let mut map = self.failed.write().expect("lab failure map poisoned");
             if let Some(existing) = map.get(&cell) {
                 return existing.clone();
             }
-            map.insert(cell, CellFailure::from_message(message.clone()));
+            map.insert(cell, failure.clone());
         }
-        let (b, c, width) = cell;
-        self.journal_append(&JournalRecord::CellFailed {
-            bench: b.name().to_string(),
-            config: c.label().to_string(),
-            width,
-            error: message.clone(),
-        });
-        CellFailure::from_message(message)
+        self.runner.fail(cell, &failure.error);
+        failure
     }
 
-    fn record_metrics(&self, cell: Cell, metrics: SimMetrics) {
-        self.metrics
-            .write()
-            .expect("lab metrics poisoned")
-            .entry(cell)
-            .or_insert_with(|| Arc::new(metrics));
-    }
-
-    /// Runs one cell and records its timing. Pure per (trace, config),
-    /// so concurrent duplicate runs return identical results. The shared
-    /// pre-pass is resolved first so `CellTiming` measures only the
-    /// timing loop.
-    ///
-    /// Under supervision the cell's lifecycle brackets the work:
-    /// `CellStarted` is journaled before the simulation, and on success
-    /// the result is published to the cell store *before* `CellFinished`
-    /// is journaled — so a `CellFinished` record always points at a
-    /// restorable result, whatever instant the process dies at.
-    fn run_cell(&self, (b, c, width): Cell) -> Arc<SimResult> {
-        let cell = (b, c, width);
-        self.journal_append(&JournalRecord::CellStarted {
-            bench: b.name().to_string(),
-            config: c.label().to_string(),
-            width,
-        });
-        if self.injected_faults.contains(&cell) {
-            panic!(
-                "injected fault: cell ({}, config {}, width {})",
-                b.models(),
-                c.label(),
-                width
-            );
-        }
-        let prepared = self.prepared(b);
-        let config = SimConfig::paper(c, width);
-        let t0 = Instant::now();
-        // Four paths, not two wrappers: the timeout-off arms call the
-        // plain entry points so the loop monomorphizes without the
-        // cancellation poll (the observer seam's zero-cost contract).
-        let outcome = match (self.cell_timeout, self.profiling) {
-            (None, false) => Ok(simulate_prepared(&prepared, &config)),
-            (None, true) => {
-                let (sim, metrics) = simulate_with_metrics(&prepared, &config);
-                self.record_metrics(cell, metrics);
-                Ok(sim)
-            }
-            (Some(budget), false) => {
-                try_simulate_prepared(&prepared, &config, &CancelToken::with_deadline(budget))
-            }
-            (Some(budget), true) => {
-                try_simulate_with_metrics(&prepared, &config, &CancelToken::with_deadline(budget))
-                    .map(|(sim, metrics)| {
-                        self.record_metrics(cell, metrics);
-                        sim
-                    })
-            }
-        };
-        let sim = outcome.unwrap_or_else(|_| {
-            let budget = self.cell_timeout.expect("only deadline-armed paths cancel");
-            panic!(
-                "{TIMEOUT_PREFIX}: cell ({}, config {}, width {}) exceeded its {:.3} s wall-clock budget",
-                b.models(),
-                c.label(),
-                width,
-                budget.as_secs_f64()
-            );
-        });
-        let seconds = t0.elapsed().as_secs_f64();
+    fn record_timing(&self, (benchmark, c, width): Cell, instructions: u64, seconds: f64) {
         self.timings
             .lock()
             .expect("lab timings poisoned")
             .push(CellTiming {
-                benchmark: b,
+                benchmark,
                 label: c.label().to_string(),
                 width,
-                instructions: sim.instructions,
+                instructions,
                 seconds,
                 process_peak_rss_bytes: ddsc_util::peak_rss_bytes().unwrap_or(0),
             });
-        if let Some(sup) = &self.supervision {
-            let digest = self.cell_digest(cell);
-            if let Err(e) = sup.store.save(digest, &sim) {
-                eprintln!(
-                    "warning: could not store result of cell ({}, config {}, width {}): {e}",
-                    b.name(),
-                    c.label(),
-                    width
-                );
-            }
-            self.journal_append(&JournalRecord::CellFinished {
-                bench: b.name().to_string(),
-                config: c.label().to_string(),
-                width,
-                digest,
-            });
+    }
+
+    /// Runs one cell through the [`CellRunner`] over the shared
+    /// pre-pass and records its timing, which covers only the timing
+    /// loop. Pure per (trace, config), so concurrent duplicate runs
+    /// return identical results. Failures come back contained, worded
+    /// by [`CellFailure::of`].
+    fn run_cell(&self, cell: Cell) -> Result<Arc<SimResult>, CellFailure> {
+        let (b, c, width) = cell;
+        let key = self.cell_key(cell).map_err(|error| CellFailure {
+            error,
+            timed_out: false,
+        })?;
+        let run = self
+            .runner
+            .run(&key, || {
+                if self.injected_faults.contains(&cell) {
+                    panic!(
+                        "injected fault: cell ({}, config {}, width {width})",
+                        b.models(),
+                        c.label()
+                    );
+                }
+                Ok(self.prepared(b))
+            })
+            .map_err(|e| CellFailure::of(cell, e))?;
+        if let Some(metrics) = run.metrics {
+            self.metrics
+                .write()
+                .expect("lab metrics poisoned")
+                .entry(cell)
+                .or_insert_with(|| Arc::new(metrics));
         }
+        self.record_timing(cell, run.result.instructions, run.seconds);
         let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some(n) = self.abort_after {
             if done >= n {
@@ -763,7 +630,7 @@ impl Lab {
                 std::process::exit(3);
             }
         }
-        Arc::new(sim)
+        Ok(Arc::new(run.result))
     }
 
     fn insert(&self, cell: Cell, result: Arc<SimResult>) -> Arc<SimResult> {
@@ -774,45 +641,22 @@ impl Lab {
     }
 
     /// Installs a cell result computed *outside* this process (a
-    /// distributed worker), through the same supervision path
-    /// [`Lab::result`] uses: the result is published to the cell store
-    /// before `CellFinished` is journaled, a [`CellTiming`] carrying the
-    /// worker-reported seconds is recorded, and the result lands in the
-    /// shared cache. Already-cached cells are left untouched (the first
-    /// result wins, as everywhere else in the lab).
+    /// distributed worker) the way [`Lab::result`] records its own: a
+    /// [`CellTiming`] carrying the worker-reported seconds, then
+    /// [`CellRunner::install`] (store save before `CellFinished`), then
+    /// the shared cache. Already-cached cells are left untouched (the
+    /// first result wins, as everywhere else in the lab).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a width of 0, which no worker can have computed.
     pub fn install_result(&self, cell: Cell, result: SimResult, seconds: f64) {
         if self.cached(&cell).is_some() {
             return;
         }
-        let (b, c, width) = cell;
-        self.timings
-            .lock()
-            .expect("lab timings poisoned")
-            .push(CellTiming {
-                benchmark: b,
-                label: c.label().to_string(),
-                width,
-                instructions: result.instructions,
-                seconds,
-                process_peak_rss_bytes: ddsc_util::peak_rss_bytes().unwrap_or(0),
-            });
-        if let Some(sup) = &self.supervision {
-            let digest = self.cell_digest(cell);
-            if let Err(e) = sup.store.save(digest, &result) {
-                eprintln!(
-                    "warning: could not store result of cell ({}, config {}, width {}): {e}",
-                    b.name(),
-                    c.label(),
-                    width
-                );
-            }
-            self.journal_append(&JournalRecord::CellFinished {
-                bench: b.name().to_string(),
-                config: c.label().to_string(),
-                width,
-                digest,
-            });
-        }
+        self.record_timing(cell, result.instructions, seconds);
+        let key = self.cell_key(cell).unwrap_or_else(|e| panic!("{e}"));
+        self.runner.install(&key, &result);
         self.completed.fetch_add(1, Ordering::SeqCst);
         self.insert(cell, Arc::new(result));
     }
@@ -822,7 +666,13 @@ impl Lab {
     /// [`Lab::outcome`] / [`Lab::failed_cells`] exactly like a locally
     /// contained panic, so it feeds the same degraded-run contract.
     pub fn install_failure(&self, cell: Cell, message: String) {
-        self.record_failure(cell, message);
+        self.record_failure(
+            cell,
+            CellFailure {
+                error: message,
+                timed_out: false,
+            },
+        );
     }
 
     /// The subset of `cells` that is neither cached nor recorded as
@@ -843,10 +693,11 @@ impl Lab {
     ///
     /// # Panics
     ///
-    /// Panics if the cell's simulation panics, or — immediately, with
-    /// the recorded message — if a degraded prewarm already saw this
-    /// cell fail. Renderers that must survive failed cells catch this
-    /// per artifact; see [`Lab::outcome`] for the non-panicking form.
+    /// Panics with the failure message if the cell fails, or —
+    /// immediately, with the recorded message — if a degraded prewarm
+    /// already saw this cell fail. Renderers that must survive failed
+    /// cells catch this per artifact; see [`Lab::outcome`] for the
+    /// non-panicking form.
     pub fn result(&self, b: Benchmark, c: PaperConfig, width: u32) -> Arc<SimResult> {
         let cell = (b, c, width);
         if let Some(r) = self.cached(&cell) {
@@ -855,8 +706,10 @@ impl Lab {
         if let Some(failure) = self.recorded_failure(&cell) {
             panic!("{}", failure.error);
         }
-        let r = self.run_cell(cell);
-        self.insert(cell, r)
+        match self.run_cell(cell) {
+            Ok(r) => self.insert(cell, r),
+            Err(failure) => panic!("{}", failure.error),
+        }
     }
 
     fn recorded_failure(&self, cell: &Cell) -> Option<CellFailure> {
@@ -869,8 +722,8 @@ impl Lab {
 
     /// How one combination ends up, with any failure contained: a
     /// previously recorded failure is returned as-is, an uncached cell
-    /// is simulated under a panic guard, and a fresh failure is
-    /// recorded so later lookups fail fast.
+    /// is simulated, and a fresh failure is recorded so later lookups
+    /// fail fast.
     pub fn outcome(&self, b: Benchmark, c: PaperConfig, width: u32) -> CellOutcome {
         let cell = (b, c, width);
         if let Some(r) = self.cached(&cell) {
@@ -879,11 +732,9 @@ impl Lab {
         if let Some(failure) = self.recorded_failure(&cell) {
             return failure.into_outcome();
         }
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_cell(cell))) {
+        match self.run_cell(cell) {
             Ok(r) => CellOutcome::Completed(self.insert(cell, r)),
-            Err(payload) => self
-                .record_failure(cell, panic_message(payload.as_ref()))
-                .into_outcome(),
+            Err(failure) => self.record_failure(cell, failure).into_outcome(),
         }
     }
 
@@ -930,21 +781,19 @@ impl Lab {
     /// Panics if the lab has no supervision ([`Lab::with_supervision`])
     /// — there is no store to restore from.
     pub fn resume(&self, records: &[JournalRecord]) -> (usize, usize) {
-        let sup = self
+        let (_, store) = self
+            .runner
             .supervision
             .as_ref()
             .expect("Lab::resume requires supervision (Lab::with_supervision)");
-        let by_name: HashMap<&str, Benchmark> =
-            Benchmark::ALL.iter().map(|&b| (b.name(), b)).collect();
-        let by_label: HashMap<&str, PaperConfig> =
-            PaperConfig::ALL.iter().map(|&c| (c.label(), c)).collect();
+        let sc = self.suite.config();
         let grid: HashSet<Cell> = self.grid().into_iter().collect();
-        let decode = |bench: &str, config: &str, width: u32| -> Option<Cell> {
-            let cell = (*by_name.get(bench)?, *by_label.get(config)?, width);
+        let decode = |bench: &str, config: &str, width: u32| -> Option<CellKey> {
+            let key = CellKey::parse(bench, config, width, sc.seed, sc.trace_len as u64).ok()?;
             // A record outside the current grid belongs to some other
             // sweep (different widths, say); it neither restores nor
             // re-runs anything here.
-            grid.contains(&cell).then_some(cell)
+            grid.contains(&key.cell()).then_some(key)
         };
         let mut resumed: HashSet<Cell> = HashSet::new();
         let mut named: HashSet<Cell> = HashSet::new();
@@ -969,18 +818,18 @@ impl Lab {
                 } => (bench, config, *width),
                 _ => continue,
             };
-            let Some(cell) = decode(bench, config, width) else {
+            let Some(key) = decode(bench, config, width) else {
                 continue;
             };
+            let cell = key.cell();
             named.insert(cell);
             let JournalRecord::CellFinished { digest, .. } = rec else {
                 continue;
             };
-            let (_, c, w) = cell;
-            if *digest != self.cell_digest(cell) {
+            if *digest != key.digest() {
                 continue;
             }
-            if let Some(result) = sup.store.load(*digest, SimConfig::paper(c, w)) {
+            if let Some(result) = store.load(*digest, key.sim_config()) {
                 self.insert(cell, Arc::new(result));
                 resumed.insert(cell);
             }
@@ -1001,7 +850,7 @@ impl Lab {
     /// would exist but no metrics were ever collected for them.
     pub fn metrics(&self, b: Benchmark, c: PaperConfig, width: u32) -> Arc<SimMetrics> {
         assert!(
-            self.profiling,
+            self.is_profiling(),
             "Lab::metrics requires a profiling lab (Lab::with_profiling)"
         );
         let cell = (b, c, width);
@@ -1047,44 +896,36 @@ impl Lab {
                 .copied()
                 .collect()
         };
-        if todo.is_empty() {
-            return Ok(0);
-        }
-        let t0 = Instant::now();
-        let results = par_map(&todo, num_threads(), |&cell| {
-            // Catch the panic on the worker itself: letting it unwind
-            // through `par_map`'s scope would poison the result mutex
-            // and turn a named failure into an opaque one.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_cell(cell))).map_err(
-                |payload| PrewarmError {
-                    cell,
-                    // `payload.as_ref()`, not `&payload`: a `&Box<dyn
-                    // Any>` would itself unsize to `&dyn Any` and the
-                    // downcast to the inner `&str` would never match.
-                    message: panic_message(payload.as_ref()),
-                },
-            )
-        });
-        *self.prewarm_wall.lock().expect("lab wall poisoned") += t0.elapsed().as_secs_f64();
-        let mut ran = 0usize;
-        let mut first_err = None;
-        for (cell, r) in todo.iter().zip(results) {
-            match r {
-                Ok(res) => {
-                    self.insert(*cell, res);
-                    ran += 1;
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
+        let (ran, failures) = self.fan_out(&todo);
+        match failures.into_iter().next() {
+            Some((cell, failure)) => Err(PrewarmError {
+                cell,
+                message: failure.error,
+            }),
             None => Ok(ran),
         }
+    }
+
+    /// Runs `todo` over the thread pool, caching every result and
+    /// adding the fan-out's wall time. Returns how many cells
+    /// completed and the failures, in `todo` order.
+    fn fan_out(&self, todo: &[Cell]) -> (usize, Vec<(Cell, CellFailure)>) {
+        if todo.is_empty() {
+            return (0, Vec::new());
+        }
+        let t0 = Instant::now();
+        let results = par_map(todo, num_threads(), |&cell| self.run_cell(cell));
+        *self.prewarm_wall.lock().expect("lab wall poisoned") += t0.elapsed().as_secs_f64();
+        let mut failures = Vec::new();
+        for (&cell, r) in todo.iter().zip(results) {
+            match r {
+                Ok(res) => {
+                    self.insert(cell, res);
+                }
+                Err(failure) => failures.push((cell, failure)),
+            }
+        }
+        (todo.len() - failures.len(), failures)
     }
 
     /// Prewarms the full paper grid ([`Lab::grid`]).
@@ -1099,39 +940,12 @@ impl Lab {
     /// are available from [`Lab::failed_cells`] and appear as
     /// `failed_cells` in the [`LabReport`].
     pub fn prewarm_degraded(&self, cells: &[Cell]) -> usize {
-        let todo: Vec<Cell> = {
-            let cache = self.cache.read().expect("lab cache poisoned");
-            let failed = self.failed.read().expect("lab failure map poisoned");
-            let mut seen = HashSet::new();
-            // Cells with a recorded failure fail fast (matching
-            // `Lab::outcome`) instead of re-running — a distributed run
-            // quarantines poison cells before this prewarm sees them.
-            cells
-                .iter()
-                .filter(|c| !cache.contains_key(*c) && !failed.contains_key(*c) && seen.insert(**c))
-                .copied()
-                .collect()
-        };
-        if todo.is_empty() {
-            return 0;
-        }
-        let t0 = Instant::now();
-        let results = par_map(&todo, num_threads(), |&cell| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_cell(cell)))
-                .map_err(|payload| panic_message(payload.as_ref()))
-        });
-        *self.prewarm_wall.lock().expect("lab wall poisoned") += t0.elapsed().as_secs_f64();
-        let mut ran = 0usize;
-        for (cell, r) in todo.iter().zip(results) {
-            match r {
-                Ok(res) => {
-                    self.insert(*cell, res);
-                    ran += 1;
-                }
-                Err(message) => {
-                    self.record_failure(*cell, message);
-                }
-            }
+        // Cells with a recorded failure fail fast (matching
+        // `Lab::outcome`) instead of re-running — a distributed run
+        // quarantines poison cells before this prewarm sees them.
+        let (ran, failures) = self.fan_out(&self.uncached_cells(cells));
+        for (cell, failure) in failures {
+            self.record_failure(cell, failure);
         }
         ran
     }
@@ -1521,6 +1335,7 @@ impl LabReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::{render_panic, MODEL_VERSION};
 
     fn tiny() -> SuiteConfig {
         SuiteConfig {
@@ -1690,7 +1505,7 @@ mod tests {
             lab.metrics(Benchmark::Compress, PaperConfig::A, 4)
         }))
         .unwrap_err();
-        let msg = panic_message(err.as_ref());
+        let msg = render_panic(err.as_ref());
         assert!(msg.contains("with_profiling"), "got: {msg}");
     }
 
@@ -1719,7 +1534,7 @@ mod tests {
             lab.prewarm(&[bad]);
         }))
         .unwrap_err();
-        assert!(panic_message(panic.as_ref()).contains("023.eqntott"));
+        assert!(render_panic(panic.as_ref()).contains("023.eqntott"));
     }
 
     #[test]
@@ -1746,7 +1561,7 @@ mod tests {
             lab.result(bad.0, bad.1, bad.2)
         }))
         .unwrap_err();
-        assert!(panic_message(panic.as_ref()).contains("injected fault"));
+        assert!(render_panic(panic.as_ref()).contains("injected fault"));
         // ...and the contained front door reports it as an outcome.
         match lab.outcome(bad.0, bad.1, bad.2) {
             CellOutcome::Failed { error } => assert!(error.contains("injected fault")),
@@ -1863,8 +1678,11 @@ mod tests {
         let cell = (Benchmark::Compress, PaperConfig::A, 4);
         match lab.outcome(cell.0, cell.1, cell.2) {
             CellOutcome::TimedOut { error } => {
-                assert!(error.starts_with(TIMEOUT_PREFIX), "got: {error}");
-                assert!(error.contains("026.compress"), "got: {error}");
+                assert_eq!(
+                    error,
+                    "cell timed out: cell (026.compress, config A, width 4) exceeded its 0.000 s \
+                     wall-clock budget"
+                );
             }
             other => panic!("expected TimedOut, got {other:?}"),
         }
@@ -1958,6 +1776,65 @@ mod tests {
         assert_eq!(other.simulations_run(), 0);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn results_stored_under_another_digest_replay_instead_of_restoring() {
+        let lab = Lab::new(tiny());
+        let cell = (Benchmark::Compress, PaperConfig::C, 4);
+        let key = lab.cell_key(cell).unwrap();
+        let result = lab.result(cell.0, cell.1, cell.2);
+        // The first digest scheme: fnv1a(trace checksum ‖ label ‖ width),
+        // blind to the SimConfig and the model version.
+        let mut trace_bytes = Vec::new();
+        ddsc_trace::io::write_trace(&mut trace_bytes, lab.suite().trace(cell.0)).unwrap();
+        let mut ident = ddsc_util::fnv1a(&trace_bytes).to_le_bytes().to_vec();
+        ident.extend_from_slice(b"C");
+        ident.extend_from_slice(&4u32.to_le_bytes());
+        let stale_digests = [
+            ("first-scheme", ddsc_util::fnv1a(&ident)),
+            ("previous-version", key.digest_under(MODEL_VERSION - 1)),
+        ];
+        for (tag, stale) in stale_digests {
+            assert_ne!(stale, key.digest(), "{tag}");
+            let dir =
+                std::env::temp_dir().join(format!("ddsc-lab-stale-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let journal_path = dir.join("run_journal.bin");
+            let store = CellStore::new(dir.join("cells"));
+            store.save(stale, &result).unwrap();
+            {
+                let (journal, _) = Journal::open(&journal_path).unwrap();
+                let (bench, config) = ("compress".to_string(), "C".to_string());
+                journal
+                    .append(&JournalRecord::CellStarted {
+                        bench: bench.clone(),
+                        config: config.clone(),
+                        width: 4,
+                    })
+                    .unwrap();
+                journal
+                    .append(&JournalRecord::CellFinished {
+                        bench,
+                        config,
+                        width: 4,
+                        digest: stale,
+                    })
+                    .unwrap();
+            }
+            let (journal, records) = Journal::open(&journal_path).unwrap();
+            let resumed =
+                Lab::from_suite(lab.suite().clone()).with_supervision(Arc::new(journal), store);
+            assert_eq!(resumed.resume(&records), (0, 1), "{tag}");
+            assert_eq!(resumed.simulations_run(), 0, "{tag}");
+            assert_eq!(*resumed.result(cell.0, cell.1, cell.2), *result, "{tag}");
+            assert_eq!(
+                resumed.timings().len(),
+                1,
+                "{tag}: the cell simulated again"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

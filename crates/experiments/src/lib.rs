@@ -44,6 +44,7 @@
 //! ```
 
 pub mod cache;
+pub mod cell;
 pub mod cellstore;
 pub mod converge;
 pub mod extensions;
@@ -54,11 +55,12 @@ pub mod profile;
 pub mod tables;
 
 pub use cache::{CacheError, ChunkedReader, TraceCache, DEFAULT_FRAME_RECORDS};
+pub use cell::{Cell, CellError, CellKey, CellRun, CellRunner, MODEL_VERSION};
 pub use cellstore::CellStore;
 pub use converge::{convergence_study, ConvergencePoint, ConvergenceReport};
 pub use lab::{
-    Cell, CellFailure, CellMetrics, CellOutcome, CellTiming, FailedCell, Lab, LabReport,
-    PrewarmError, Suite, SuiteConfig,
+    CellFailure, CellMetrics, CellOutcome, CellTiming, FailedCell, Lab, LabReport, PrewarmError,
+    Suite, SuiteConfig,
 };
 pub use profile::{collect_profiles, render_profiles, write_profiles, ConfigProfile, ProfileCell};
 
@@ -113,12 +115,10 @@ pub fn render_all_contained(lab: &Lab) -> String {
         .map(|&(name, f)| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(lab))).unwrap_or_else(
                 |payload| {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    format!("## {name} [skipped: {msg}]\n")
+                    format!(
+                        "## {name} [skipped: {}]\n",
+                        cell::render_panic(payload.as_ref())
+                    )
                 },
             )
         })

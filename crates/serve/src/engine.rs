@@ -9,15 +9,16 @@
 //!   pending jobs. A submission that would exceed it is turned away
 //!   with a typed [`Submission::RejectedBusy`] — nothing is enqueued,
 //!   nothing can hang.
-//! * **Coalescing.** Cells are keyed by a digest over the full request
-//!   identity `(bench, config, width, trace_len, seed)`. Concurrent
-//!   identical submissions join the one in-flight cell and all receive
-//!   the same byte-identical result; later identical submissions hit
-//!   the in-memory outcome cache without touching the queue.
-//! * **Durability.** With a run directory configured, every finished
-//!   cell is saved to the [`CellStore`] *before* its `CellFinished`
-//!   journal record is appended (the PR 5 ordering), so a SIGKILLed
-//!   daemon restarted on the same directory re-serves journaled cells
+//! * **Coalescing.** Cells are keyed by the digest of the request's
+//!   [`CellKey`] — the lab's digest, so `d` and `D` name one cell.
+//!   Concurrent identical submissions join the one in-flight cell and
+//!   all receive the same byte-identical result; later identical
+//!   submissions hit the in-memory outcome cache without touching the
+//!   queue.
+//! * **Durability.** With a run directory configured, the
+//!   [`CellRunner`] saves every finished cell to the [`CellStore`]
+//!   *before* its `CellFinished` journal record, so a SIGKILLed daemon
+//!   restarted on the same directory re-serves journaled cells
 //!   byte-identically without re-simulating.
 //!
 //! Timed-out and failed cells are *not* memoised: their map entries are
@@ -27,7 +28,6 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -35,12 +35,10 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ddsc_core::{
-    simulate_prepared, try_simulate_prepared, CancelToken, PaperConfig, PreparedTrace, SimConfig,
-};
-use ddsc_experiments::CellStore;
-use ddsc_util::{fnv1a, Journal, JournalRecord};
-use ddsc_workloads::Benchmark;
+use ddsc_core::SimConfig;
+use ddsc_experiments::cell::{parse_config, parse_width};
+use ddsc_experiments::{CellError, CellKey, CellRunner, CellStore};
+use ddsc_util::{Journal, JournalRecord};
 
 use crate::proto::{StatsSnapshot, SubmitRequest};
 
@@ -174,19 +172,9 @@ pub enum Submission {
     },
 }
 
-/// A validated request, ready to simulate.
-#[derive(Debug, Clone, Copy)]
-struct ValidRequest {
-    bench: Benchmark,
-    config: PaperConfig,
-    width: u32,
-    trace_len: u64,
-    seed: u64,
-}
-
 struct Job {
     digest: u64,
-    req: ValidRequest,
+    key: CellKey,
 }
 
 enum CellState {
@@ -286,9 +274,7 @@ struct Shared {
     cells: Mutex<HashMap<u64, CellState>>,
     queue: JobQueue,
     stats: Stats,
-    journal: Option<Journal>,
-    store: Option<CellStore>,
-    deadline: Option<Duration>,
+    runner: CellRunner,
     gate: Option<Arc<WorkerGate>>,
     workers: usize,
     max_trace_len: u64,
@@ -301,32 +287,19 @@ pub struct Engine {
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// The digest identifying one experiment cell: a pure function of the
-/// request parameters, so it names the same cell across daemon
-/// restarts and across clients.
+/// The digest identifying one experiment cell, [`CellKey::digest`].
+/// Panics if the request names no cell; [`Engine::submit`] rejects it.
 pub fn request_digest(bench: &str, config: &str, width: u32, trace_len: u64, seed: u64) -> u64 {
-    let mut key = Vec::with_capacity(64);
-    key.extend_from_slice(b"ddsc-serve-cell-v1\0");
-    key.extend_from_slice(bench.as_bytes());
-    key.push(0);
-    key.extend_from_slice(config.as_bytes());
-    key.push(0);
-    key.extend_from_slice(&width.to_le_bytes());
-    key.extend_from_slice(&trace_len.to_le_bytes());
-    key.extend_from_slice(&seed.to_le_bytes());
-    fnv1a(&key)
+    CellKey::parse(bench, config, width, seed, trace_len)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .digest()
 }
 
-fn validate(req: &SubmitRequest, max_trace_len: u64) -> Result<ValidRequest, String> {
-    let bench = Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name() == req.bench)
-        .ok_or_else(|| format!("unknown benchmark `{}`", req.bench))?;
-    let config = PaperConfig::ALL
-        .into_iter()
-        .find(|c| c.label().eq_ignore_ascii_case(&req.config))
-        .ok_or_else(|| format!("unknown configuration `{}` (A..E)", req.config))?;
-    if req.width == 0 || req.width > 4096 {
+/// Names the requested cell, then applies the daemon's own admission
+/// bounds on width and trace length.
+fn validate(req: &SubmitRequest, max_trace_len: u64) -> Result<CellKey, String> {
+    let key = CellKey::parse(&req.bench, &req.config, req.width, req.seed, req.trace_len)?;
+    if req.width > 4096 {
         return Err(format!("width {} out of range (1..=4096)", req.width));
     }
     if req.trace_len == 0 || req.trace_len > max_trace_len {
@@ -335,13 +308,7 @@ fn validate(req: &SubmitRequest, max_trace_len: u64) -> Result<ValidRequest, Str
             req.trace_len
         ));
     }
-    Ok(ValidRequest {
-        bench,
-        config,
-        width: req.width,
-        trace_len: req.trace_len,
-        seed: req.seed,
-    })
+    Ok(key)
 }
 
 impl Engine {
@@ -353,22 +320,22 @@ impl Engine {
     /// Returns any filesystem error opening the journal.
     pub fn start(config: EngineConfig) -> io::Result<Engine> {
         let workers = config.workers.max(1);
-        let (journal, store, resumed) = match &config.run_dir {
-            None => (None, None, Vec::new()),
-            Some(dir) => {
-                let store = CellStore::new(dir.join("cells"));
-                let (journal, records) = Journal::open(&dir.join("serve_journal.bin"))?;
-                (Some(journal), Some(store), records)
-            }
+        let mut runner = CellRunner {
+            deadline: config.deadline,
+            ..CellRunner::default()
         };
+        let mut resumed = Vec::new();
+        if let Some(dir) = &config.run_dir {
+            let (journal, records) = Journal::open(&dir.join("serve_journal.bin"))?;
+            runner.supervision = Some((Arc::new(journal), CellStore::new(dir.join("cells"))));
+            resumed = records;
+        }
 
         let shared = Arc::new(Shared {
             cells: Mutex::new(HashMap::new()),
             queue: JobQueue::new(config.queue_depth.max(1)),
             stats: Stats::default(),
-            journal,
-            store,
-            deadline: config.deadline,
+            runner,
             gate: config.gate,
             workers,
             max_trace_len: config.max_trace_len.max(1),
@@ -376,7 +343,7 @@ impl Engine {
 
         // Warm the cache: every journaled CellFinished whose stored
         // result still loads cleanly is re-served without simulating.
-        if let Some(store) = &shared.store {
+        if let Some((_, store)) = &shared.runner.supervision {
             let mut cells = shared.cells.lock().unwrap_or_else(|e| e.into_inner());
             for rec in &resumed {
                 let JournalRecord::CellFinished {
@@ -388,10 +355,10 @@ impl Engine {
                 else {
                     continue;
                 };
-                let Some(cfg) = PaperConfig::ALL.into_iter().find(|c| c.label() == label) else {
+                let (Ok(cfg), Ok(width)) = (parse_config(label), parse_width(*width)) else {
                     continue;
                 };
-                if let Some(result) = store.load(*digest, SimConfig::paper(cfg, *width)) {
+                if let Some(result) = store.load(*digest, SimConfig::paper(cfg, width)) {
                     let mut body = Vec::new();
                     result.encode_to(&mut body);
                     cells.insert(
@@ -406,7 +373,7 @@ impl Engine {
             }
         }
 
-        if let Some(journal) = &shared.journal {
+        if let Some((journal, _)) = &shared.runner.supervision {
             journal.append(&JournalRecord::RunStarted {
                 config: format!(
                     "serve workers={workers} queue={} deadline={:?}",
@@ -441,7 +408,7 @@ impl Engine {
                 return Submission::Invalid { reason };
             }
         };
-        let digest = request_digest(&req.bench, &req.config, req.width, req.trace_len, req.seed);
+        let digest = valid.digest();
 
         // The cache / coalesce / admit decision happens atomically
         // under the map lock; the queue push nests inside it (lock
@@ -467,7 +434,7 @@ impl Engine {
                     depth: 0,
                 }
             }
-            None => match shared.queue.push(Job { digest, req: valid }) {
+            None => match shared.queue.push(Job { digest, key: valid }) {
                 Err(PushError::Full) => {
                     shared.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
                     Submission::RejectedBusy {
@@ -529,7 +496,7 @@ impl Engine {
         for handle in handles {
             let _ = handle.join();
         }
-        if let Some(journal) = &self.shared.journal {
+        if let Some((journal, _)) = &self.shared.runner.supervision {
             let _ = journal.append(&JournalRecord::RunFinished { status: 0 });
         }
         // Dropping leftover InFlight senders closes their channels.
@@ -580,107 +547,32 @@ fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         shared.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
         shared.broadcast_started(job.digest);
-        if let Some(journal) = &shared.journal {
-            let _ = journal.append(&JournalRecord::CellStarted {
-                bench: job.req.bench.name().to_string(),
-                config: job.req.config.label().to_string(),
-                width: job.req.width,
-            });
-        }
         if let Some(gate) = &shared.gate {
             gate.wait();
         }
-
-        let outcome = run_cell(shared, &job);
-
-        match &outcome {
-            Outcome::Done { digest, .. } => {
+        // Serve keeps no prepared traces: each cell generates its own.
+        let outcome = match shared.runner.run(&job.key, || job.key.prepare()) {
+            Ok(run) => {
                 shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                if let Some(journal) = &shared.journal {
-                    let _ = journal.append(&JournalRecord::CellFinished {
-                        bench: job.req.bench.name().to_string(),
-                        config: job.req.config.label().to_string(),
-                        width: job.req.width,
-                        digest: *digest,
-                    });
+                let mut body = Vec::new();
+                run.result.encode_to(&mut body);
+                Outcome::Done {
+                    digest: job.digest,
+                    body: Arc::new(body),
                 }
             }
-            Outcome::Failed { error } | Outcome::TimedOut { error } => {
-                let counter = if matches!(outcome, Outcome::TimedOut { .. }) {
-                    &shared.stats.timed_out
+            Err(e) => {
+                let error = e.to_string();
+                shared.runner.fail(job.key.cell(), &error);
+                if let CellError::TimedOut(_) = e {
+                    shared.stats.timed_out.fetch_add(1, Ordering::Relaxed);
+                    Outcome::TimedOut { error }
                 } else {
-                    &shared.stats.failed
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                if let Some(journal) = &shared.journal {
-                    let _ = journal.append(&JournalRecord::CellFailed {
-                        bench: job.req.bench.name().to_string(),
-                        config: job.req.config.label().to_string(),
-                        width: job.req.width,
-                        error: error.clone(),
-                    });
+                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+                    Outcome::Failed { error }
                 }
             }
-        }
+        };
         shared.finish(job.digest, outcome);
-    }
-}
-
-fn run_cell(shared: &Shared, job: &Job) -> Outcome {
-    let req = job.req;
-    let deadline = shared.deadline;
-    let computed = catch_unwind(AssertUnwindSafe(|| {
-        let trace = req
-            .bench
-            .trace(req.seed, req.trace_len as usize)
-            .map_err(|e| format!("trace generation failed: {e}"))?;
-        let prepared = PreparedTrace::build(&trace);
-        let config = SimConfig::paper(req.config, req.width);
-        match deadline {
-            None => Ok(simulate_prepared(&prepared, &config)),
-            Some(budget) => {
-                let token = CancelToken::with_deadline(budget);
-                try_simulate_prepared(&prepared, &config, &token).map_err(|_| {
-                    format!(
-                        "cell timed out: exceeded the {:.3} s deadline",
-                        budget.as_secs_f64()
-                    )
-                })
-            }
-        }
-    }));
-
-    match computed {
-        Err(panic) => Outcome::Failed {
-            error: format!("cell panicked: {}", panic_message(&panic)),
-        },
-        Ok(Err(error)) if error.starts_with("cell timed out") => Outcome::TimedOut { error },
-        Ok(Err(error)) => Outcome::Failed { error },
-        Ok(Ok(result)) => {
-            let mut body = Vec::new();
-            result.encode_to(&mut body);
-            // Save-before-journal: the store write lands before the
-            // CellFinished record the caller appends, so a journaled
-            // cell always has a loadable result behind it.
-            if let Some(store) = &shared.store {
-                if let Err(e) = store.save(job.digest, &result) {
-                    eprintln!("warning: cell store save failed: {e}");
-                }
-            }
-            Outcome::Done {
-                digest: job.digest,
-                body: Arc::new(body),
-            }
-        }
-    }
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }

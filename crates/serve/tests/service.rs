@@ -374,3 +374,116 @@ fn engine_restart_on_same_run_dir_serves_journaled_cells_warm() {
     engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Waits out one admitted submission and returns its terminal outcome.
+fn finish(submission: Submission) -> ddsc_serve::Outcome {
+    match submission {
+        Submission::Cached(outcome) => outcome,
+        Submission::Joined { events, .. } => loop {
+            match events.recv().expect("event") {
+                JobEvent::Started => continue,
+                JobEvent::Finished(outcome) => break outcome,
+            }
+        },
+        other => panic!("expected admission, got {other:?}"),
+    }
+}
+
+#[test]
+fn config_labels_name_one_cell_whatever_their_case() {
+    let dir = tmpdir("labels");
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        run_dir: Some(dir.clone()),
+        ..EngineConfig::default()
+    })
+    .expect("start");
+    let mut bodies = Vec::new();
+    for label in ["D", "d", "D"] {
+        let req = SubmitRequest {
+            bench: "compress".to_string(),
+            config: label.to_string(),
+            width: 8,
+            trace_len: 2_000,
+            seed: 1996,
+        };
+        match finish(engine.submit(&req)) {
+            ddsc_serve::Outcome::Done { body, .. } => bodies.push(body),
+            other => panic!("expected done, got {other:?}"),
+        }
+    }
+    let stats = engine.stats();
+    engine.shutdown();
+    assert_eq!(stats.completed, 1, "one simulation for D, d, D");
+    assert_eq!(stats.cache_hits, 2);
+    assert!(bodies.iter().all(|b| b == &bodies[0]));
+    let stored = std::fs::read_dir(dir.join("cells"))
+        .expect("cell store")
+        .count();
+    assert_eq!(stored, 1, "one cell-store file");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_cell_journaled_under_another_digest_simulates_again_after_restart() {
+    use ddsc_experiments::{CellKey, CellStore, MODEL_VERSION};
+    use ddsc_util::{fnv1a, Journal, JournalRecord};
+
+    let req = cell(5);
+    let key = CellKey::parse(&req.bench, &req.config, req.width, req.seed, req.trace_len).unwrap();
+    let result = ddsc_core::simulate_prepared(&key.prepare().unwrap(), &key.sim_config());
+    // The first serve digest: the raw request fields, blind to the
+    // SimConfig and the model version.
+    let mut first = b"ddsc-serve-cell-v1\0".to_vec();
+    for field in [&req.bench, &req.config] {
+        first.extend_from_slice(field.as_bytes());
+        first.push(0);
+    }
+    first.extend_from_slice(&req.width.to_le_bytes());
+    first.extend_from_slice(&req.trace_len.to_le_bytes());
+    first.extend_from_slice(&req.seed.to_le_bytes());
+    let stale_digests = [
+        ("first-scheme", fnv1a(&first)),
+        ("previous-version", key.digest_under(MODEL_VERSION - 1)),
+    ];
+    for (tag, stale) in stale_digests {
+        assert_ne!(stale, key.digest(), "{tag}");
+        let dir = tmpdir(tag);
+        CellStore::new(dir.join("cells"))
+            .save(stale, &result)
+            .unwrap();
+        {
+            let (journal, _) = Journal::open(&dir.join("serve_journal.bin")).unwrap();
+            journal
+                .append(&JournalRecord::CellFinished {
+                    bench: req.bench.clone(),
+                    config: req.config.clone(),
+                    width: req.width,
+                    digest: stale,
+                })
+                .unwrap();
+        }
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            run_dir: Some(dir.clone()),
+            ..EngineConfig::default()
+        })
+        .expect("restart");
+        let submission = engine.submit(&req);
+        assert!(
+            matches!(submission, Submission::Joined { .. }),
+            "{tag}: the stale cell must not be served"
+        );
+        let outcome = finish(submission);
+        let stats = engine.stats();
+        engine.shutdown();
+        let ddsc_serve::Outcome::Done { body, .. } = outcome else {
+            panic!("{tag}: expected done, got {outcome:?}");
+        };
+        let mut expected = Vec::new();
+        result.encode_to(&mut expected);
+        assert_eq!(*body, expected, "{tag}");
+        assert_eq!((stats.completed, stats.cache_hits), (1, 0), "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -9,14 +9,11 @@
 
 use ddsc::collapse::CollapseCategory;
 use ddsc::core::{simulate, PaperConfig, SimConfig};
-use ddsc::workloads::Benchmark;
+use ddsc::experiments::cell::parse_benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "espresso".into());
-    let bench = Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name() == name)
-        .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
+    let bench = parse_benchmark(&name)?;
 
     let trace = bench.trace(1996, 150_000)?;
     let width = 16;

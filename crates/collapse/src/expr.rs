@@ -84,19 +84,49 @@ pub enum AbsorbSlot {
     Icc,
 }
 
-impl AbsorbSlot {
-    fn ops_contribution(self) -> u8 {
-        match self {
-            AbsorbSlot::Counted => 1,
-            AbsorbSlot::ZeroReg | AbsorbSlot::Icc => 0,
+/// An absorb-slot list as the three counts [`ExprState::absorb_set`]
+/// reads: counted, zero-register and `%icc` positions.
+///
+/// The order of a slot list never matters, so the timing loop carries
+/// this `Copy` summary in its candidate rows, and inheriting a
+/// candidate through a producer absorbed via `k` positions is
+/// [`SlotSet::add_times`] with `k`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlotSet {
+    counted: u16,
+    zero: u16,
+    icc: u16,
+}
+
+impl SlotSet {
+    /// Counts the positions of a slot list.
+    pub fn of(slots: &[AbsorbSlot]) -> SlotSet {
+        let mut set = SlotSet::default();
+        for slot in slots {
+            match slot {
+                AbsorbSlot::Counted => set.counted += 1,
+                AbsorbSlot::ZeroReg => set.zero += 1,
+                AbsorbSlot::Icc => set.icc += 1,
+            }
         }
+        set
     }
 
-    fn raw_contribution(self) -> u8 {
-        match self {
-            AbsorbSlot::Counted | AbsorbSlot::ZeroReg => 1,
-            AbsorbSlot::Icc => 0,
-        }
+    /// Number of positions.
+    pub fn len(self) -> u16 {
+        self.counted + self.zero + self.icc
+    }
+
+    /// Whether the set holds no position.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Adds `other`'s positions `times` times over.
+    pub fn add_times(&mut self, other: SlotSet, times: u16) {
+        self.counted += other.counted * times;
+        self.zero += other.zero * times;
+        self.icc += other.icc * times;
     }
 }
 
@@ -239,16 +269,31 @@ impl ExprState {
         slots: &[AbsorbSlot],
         opts: &CollapseOpts,
     ) -> Option<ExprState> {
+        self.absorb_set(producer, SlotSet::of(slots), opts)
+    }
+
+    /// [`ExprState::absorb_with`] over the counted form of the slot list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is empty.
+    pub fn absorb_set(
+        &self,
+        producer: &ExprState,
+        slots: SlotSet,
+        opts: &CollapseOpts,
+    ) -> Option<ExprState> {
         assert!(!slots.is_empty(), "absorb with zero slots");
-        let n = slots.len() as u16;
-        let counted: u16 = if opts.zero_detection {
-            slots.iter().map(|s| u16::from(s.ops_contribution())).sum()
+        let n = slots.len();
+        // A detected-zero register still occupies a raw slot; without
+        // zero detection it is a normal counted operand. A `%icc` link
+        // occupies no operand slot at all.
+        let raw_slots = slots.counted + slots.zero;
+        let counted = if opts.zero_detection {
+            slots.counted
         } else {
-            // Without zero detection a detected-zero register is a normal
-            // counted operand.
-            slots.iter().map(|s| u16::from(s.raw_contribution())).sum()
+            raw_slots
         };
-        let raw_slots: u16 = slots.iter().map(|s| u16::from(s.raw_contribution())).sum();
         // Each referencing position is replaced by the producer's full
         // operand list. Checked arithmetic: a slot list that does not
         // describe positions actually present in this expression is an
@@ -578,7 +623,115 @@ mod tests {
             })
         }
 
+        /// Any absorb slot.
+        fn slot_strategy() -> impl Strategy<Value = AbsorbSlot> {
+            (0u8..3).prop_map(|k| match k {
+                0 => AbsorbSlot::Counted,
+                1 => AbsorbSlot::ZeroReg,
+                _ => AbsorbSlot::Icc,
+            })
+        }
+
+        /// A producer group of one to three members ending at index 2.
+        fn producer_strategy() -> impl Strategy<Value = ExprState> {
+            (leaf_strategy(0), leaf_strategy(1), leaf_strategy(2), 0u8..4).prop_map(
+                |(a, b, p, take)| {
+                    let mut p = p;
+                    for (bit, q) in [(1, b), (2, a)] {
+                        if take & bit != 0 {
+                            p = p.absorb(&q, C).unwrap_or(p);
+                        }
+                    }
+                    p
+                },
+            )
+        }
+
+        /// Every device the ablations use.
+        fn opts_strategy() -> impl Strategy<Value = CollapseOpts> {
+            (any::<bool>(), 3u8..5, 2usize..5).prop_map(|(zero_detection, max_ops, max_members)| {
+                CollapseOpts {
+                    zero_detection,
+                    max_members,
+                    max_ops,
+                }
+            })
+        }
+
+        /// `absorb_with` as it computed over slot lists before they were
+        /// counted: (ops, raw ops, member indices) of the merged group.
+        fn slice_absorb(
+            consumer: &ExprState,
+            producer: &ExprState,
+            slots: &[AbsorbSlot],
+            opts: &CollapseOpts,
+        ) -> Option<(u8, u8, Vec<u32>)> {
+            let ops_contribution = |s: &AbsorbSlot| u16::from(*s == AbsorbSlot::Counted);
+            let raw_contribution = |s: &AbsorbSlot| u16::from(*s != AbsorbSlot::Icc);
+            let n = slots.len() as u16;
+            let counted: u16 = if opts.zero_detection {
+                slots.iter().map(ops_contribution).sum()
+            } else {
+                slots.iter().map(raw_contribution).sum()
+            };
+            let raw_slots: u16 = slots.iter().map(raw_contribution).sum();
+            let ops =
+                (u16::from(consumer.ops) + n * u16::from(producer.ops)).checked_sub(counted)?;
+            let raw_ops = (u16::from(consumer.raw_ops) + n * u16::from(producer.raw_ops))
+                .checked_sub(raw_slots)?;
+            if ops > u16::from(opts.max_ops) || raw_ops > u16::from(u8::MAX) {
+                return None;
+            }
+            let total = consumer.member_count() + producer.member_count();
+            if total > opts.max_members.min(MAX_MEMBERS) || (total == MAX_MEMBERS && raw_ops <= ops)
+            {
+                return None;
+            }
+            let mut members: Vec<u32> = producer
+                .members()
+                .chain(consumer.members())
+                .map(|(i, _)| i)
+                .collect();
+            members.sort_unstable();
+            Some((ops as u8, raw_ops as u8, members))
+        }
+
         proptest! {
+            /// Counting a slot list changes no absorb verdict or merged
+            /// size under any device.
+            #[test]
+            fn counted_slots_match_the_slice_arithmetic(
+                producer in producer_strategy(),
+                consumer in leaf_strategy(3),
+                slots in proptest::collection::vec(slot_strategy(), 1..9),
+                opts in opts_strategy(),
+            ) {
+                let merged = consumer.absorb_set(&producer, SlotSet::of(&slots), &opts);
+                prop_assert_eq!(merged, consumer.absorb_with(&producer, &slots, &opts));
+                let got = merged.map(|m| {
+                    (m.ops(), m.raw_ops(), m.members().map(|(i, _)| i).collect::<Vec<u32>>())
+                });
+                prop_assert_eq!(got, slice_absorb(&consumer, &producer, &slots, &opts));
+            }
+
+            /// `add_times` is the count of the list with the other
+            /// list appended `k` times.
+            #[test]
+            fn add_times_counts_repeated_appends(
+                base in proptest::collection::vec(slot_strategy(), 0..9),
+                extra in proptest::collection::vec(slot_strategy(), 1..9),
+                times in 1u16..4,
+            ) {
+                let mut set = SlotSet::of(&base);
+                set.add_times(SlotSet::of(&extra), times);
+                let mut list = base.clone();
+                for _ in 0..times {
+                    list.extend_from_slice(&extra);
+                }
+                prop_assert_eq!(set, SlotSet::of(&list));
+                prop_assert_eq!(usize::from(set.len()), list.len());
+            }
+
             /// Invariants of absorb: elided size never exceeds raw size,
             /// both fit the device budget, members stay sorted and within
             /// the group cap.

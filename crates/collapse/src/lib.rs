@@ -32,7 +32,9 @@ pub mod patterns;
 pub mod rules;
 pub mod stats;
 
-pub use expr::{AbsorbSlot, CollapseCategory, CollapseOpts, ExprState, MAX_EXPR_OPS, MAX_MEMBERS};
+pub use expr::{
+    AbsorbSlot, CollapseCategory, CollapseOpts, ExprState, SlotSet, MAX_EXPR_OPS, MAX_MEMBERS,
+};
 pub use pass::{decode_slots, encode_slots, CollapseStatic};
 pub use patterns::{PatternKey, PatternTable};
 pub use rules::{absorb_slots, can_produce};

@@ -11,11 +11,21 @@ use crate::expr::MAX_MEMBERS;
 
 /// The op-type sequence of a collapsed group, oldest instruction first —
 /// e.g. `arrr–brc` or `shri–arrr–ldrr`.
+///
+/// Packed into one `u32`, 7 bits per member with the oldest member in
+/// the highest bits and 0 for an absent member. A
+/// member's code is `1 + 16·class + 4·k0 + k1`, where an operand kind
+/// `k` is 0 when absent and `1 +` its code otherwise. The codes follow
+/// the declaration order of [`PatClass`] and [`OperandKind`], so integer
+/// order is the lexicographic member order (absent first, then class,
+/// then operand kinds) that [`PatternTable`] iterates, encodes and
+/// renders in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PatternKey {
-    types: [Option<OpType>; MAX_MEMBERS],
-    len: u8,
-}
+pub struct PatternKey(u32);
+
+/// Bits per packed member; the largest member code is
+/// `1 + 16·6 + 4·3 + 3 = 112`.
+const MEMBER_BITS: u32 = 7;
 
 impl PatternKey {
     /// Builds a key from the member op-types in group order.
@@ -25,43 +35,63 @@ impl PatternKey {
     /// Panics if more than [`MAX_MEMBERS`] types are supplied.
     pub fn new(types: &[OpType]) -> Self {
         assert!(types.len() <= MAX_MEMBERS, "group too large");
-        let mut arr = [None; MAX_MEMBERS];
-        for (slot, &t) in arr.iter_mut().zip(types) {
-            *slot = Some(t);
+        let mut packed = 0u32;
+        for (k, &t) in types.iter().enumerate() {
+            packed |= member_code(t) << Self::shift(k);
         }
-        PatternKey {
-            types: arr,
-            len: types.len() as u8,
-        }
+        PatternKey(packed)
+    }
+
+    /// Bit offset of member `k` (0 = oldest, in the highest bits).
+    fn shift(k: usize) -> u32 {
+        MEMBER_BITS * (MAX_MEMBERS - 1 - k) as u32
+    }
+
+    /// The packed codes of the present members, oldest first.
+    fn codes(&self) -> impl Iterator<Item = u32> {
+        let packed = self.0;
+        (0..MAX_MEMBERS)
+            .map(move |k| (packed >> Self::shift(k)) & ((1 << MEMBER_BITS) - 1))
+            .take_while(|&code| code != 0)
     }
 
     /// Number of instructions in the pattern.
     pub fn len(&self) -> usize {
-        usize::from(self.len)
+        self.codes().count()
     }
 
     /// Whether the key holds no members (never produced by collapsing).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.0 == 0
     }
 
     /// The member op-types in order.
     pub fn types(&self) -> impl Iterator<Item = OpType> + '_ {
-        self.types.iter().flatten().copied()
+        self.codes().map(|code| {
+            let v = code - 1;
+            // Operand kinds fill a prefix, so an absent first kind means
+            // an absent second one.
+            let mut kinds = [OperandKind::Reg; 2];
+            let mut n = 0;
+            for k in [(v / 4) % 4, v % 4] {
+                if k != 0 {
+                    kinds[n] = OperandKind::ALL[k as usize - 1];
+                    n += 1;
+                }
+            }
+            OpType::new(PatClass::ALL[(v / 16) as usize], &kinds[..n])
+        })
     }
 
     /// Appends the binary encoding to `out`: member count, then per
     /// member its class code and operand-kind codes. Part of the
     /// per-cell result codec the resumable-run store uses.
     pub fn encode_to(&self, out: &mut Vec<u8>) {
-        out.push(self.len);
+        out.push(self.len() as u8);
         for t in self.types() {
             out.push(t.class().code());
-            let kinds: Vec<OperandKind> = t.kinds().collect();
-            out.push(kinds.len() as u8);
-            for k in kinds {
-                out.push(k.code());
-            }
+            out.push(t.kinds().count() as u8);
+            out.extend(t.kinds().map(OperandKind::code));
         }
     }
 
@@ -94,6 +124,14 @@ impl PatternKey {
         }
         Ok(PatternKey::new(&types))
     }
+}
+
+/// A member's packed code (see [`PatternKey`]).
+fn member_code(t: OpType) -> u32 {
+    let mut kinds = t.kinds().map(|k| 1 + u32::from(k.code()));
+    let k0 = kinds.next().unwrap_or(0);
+    let k1 = kinds.next().unwrap_or(0);
+    1 + 16 * u32::from(t.class().code()) + 4 * k0 + k1
 }
 
 impl fmt::Display for PatternKey {
@@ -289,6 +327,103 @@ mod tests {
     #[should_panic(expected = "group too large")]
     fn oversized_key_panics() {
         PatternKey::new(&[arrr(); 5]);
+    }
+
+    /// Every `OpType`: 7 classes × operand-kind lists of length 0–2.
+    fn all_optypes() -> Vec<OpType> {
+        let mut kind_lists: Vec<Vec<OperandKind>> = vec![vec![]];
+        for a in OperandKind::ALL {
+            kind_lists.push(vec![a]);
+            for b in OperandKind::ALL {
+                kind_lists.push(vec![a, b]);
+            }
+        }
+        PatClass::ALL
+            .iter()
+            .flat_map(|&c| kind_lists.iter().map(move |k| t(c, k)))
+            .collect()
+    }
+
+    /// All one- and two-member groups plus a seeded sample of three- and
+    /// four-member ones.
+    fn key_members() -> Vec<Vec<OpType>> {
+        let all = all_optypes();
+        let mut groups: Vec<Vec<OpType>> = all.iter().map(|&a| vec![a]).collect();
+        for &a in &all {
+            groups.extend(all.iter().map(|&b| vec![a, b]));
+        }
+        let mut rng = ddsc_util::rng::Pcg32::new(1996);
+        for len in [3, 4] {
+            for _ in 0..5_000 {
+                let pick =
+                    |rng: &mut ddsc_util::rng::Pcg32| all[rng.range(0, all.len() as u32) as usize];
+                groups.push((0..len).map(|_| pick(&mut rng)).collect());
+            }
+        }
+        groups
+    }
+
+    /// The order the key had as a derived `Ord` over
+    /// `[Option<OpType>; MAX_MEMBERS]`: members compared in turn, an
+    /// absent member first, each member by class then operand kinds
+    /// (absent first), all in declaration order.
+    fn derived_order_key(types: &[OpType]) -> [Option<OpType>; MAX_MEMBERS] {
+        let mut arr = [None; MAX_MEMBERS];
+        for (slot, &t) in arr.iter_mut().zip(types) {
+            *slot = Some(t);
+        }
+        arr
+    }
+
+    #[test]
+    fn packed_order_matches_the_derived_member_order() {
+        let mut types = all_optypes();
+        types.sort();
+        types.dedup();
+        assert_eq!(types.len(), 91, "every OpType, each once");
+        let mut groups = key_members();
+        groups.sort_by_key(|g| derived_order_key(g));
+        groups.dedup();
+        assert!(groups.len() > 91 * 92, "all one- and two-member keys");
+        // Both orders are total, so agreeing on every adjacent pair of
+        // the oracle-sorted list means agreeing on every pair.
+        for pair in groups.windows(2) {
+            let (a, b) = (PatternKey::new(&pair[0]), PatternKey::new(&pair[1]));
+            assert!(a < b, "{a} should sort before {b}");
+        }
+        // A prefix sorts first, and a key equals only itself.
+        let brc_only = PatternKey::new(&[brc()]);
+        assert!(PatternKey::new(&[]) < brc_only);
+        assert!(PatternKey::new(&[arrr()]) < PatternKey::new(&[arrr(), arrr()]));
+        assert_eq!(PatternKey::new(&[brc()]), brc_only);
+    }
+
+    #[test]
+    fn packed_keys_round_trip_through_the_codec() {
+        for group in key_members() {
+            let key = PatternKey::new(&group);
+            assert_eq!(key.len(), group.len());
+            assert_eq!(key.types().collect::<Vec<_>>(), group);
+            let names: Vec<String> = group.iter().map(ToString::to_string).collect();
+            assert_eq!(key.to_string(), names.join("-"));
+            let mut bytes = Vec::new();
+            key.encode_to(&mut bytes);
+            // Member count, then class code, kind count and kind codes.
+            let mut expected = vec![group.len() as u8];
+            for t in &group {
+                let kinds: Vec<u8> = t.kinds().map(OperandKind::code).collect();
+                expected.extend([t.class().code(), kinds.len() as u8]);
+                expected.extend(kinds);
+            }
+            assert_eq!(bytes, expected);
+            let mut r = Reader::new(&bytes);
+            let back = PatternKey::decode_from(&mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(back, key);
+            let mut again = Vec::new();
+            back.encode_to(&mut again);
+            assert_eq!(again, bytes);
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Aggregate collapsing statistics (Figures 8–10, Tables 5–6).
 
+use ddsc_isa::{OpType, PatClass};
 use ddsc_util::codec::{Reader, WireError};
 use ddsc_util::stats::Percent;
 use ddsc_util::Histogram;
 
-use crate::expr::{CollapseCategory, ExprState};
+use crate::expr::{CollapseCategory, ExprState, MAX_MEMBERS};
 use crate::patterns::{PatternKey, PatternTable};
 
 /// Distance histogram cap: the paper plots distances up to the window
@@ -65,14 +66,21 @@ impl CollapseStats {
             CollapseCategory::FourOne => self.groups_4_1 += 1,
             CollapseCategory::ZeroOp => self.groups_0_op += 1,
         }
-        let members: Vec<(u32, ddsc_isa::OpType)> = state.members().collect();
-        let consumer_idx = members.last().map(|&(i, _)| i).unwrap_or(0);
-        for &(idx, _) in &members[..members.len().saturating_sub(1)] {
+        // Stack copies: this runs once per executed collapse.
+        let mut idxs = [0u32; MAX_MEMBERS];
+        let mut types = [OpType::new(PatClass::Brc, &[]); MAX_MEMBERS];
+        let mut n = 0;
+        for (idx, t) in state.members() {
+            idxs[n] = idx;
+            types[n] = t;
+            n += 1;
+        }
+        let consumer_idx = idxs[n.saturating_sub(1)];
+        for &idx in &idxs[..n.saturating_sub(1)] {
             self.distance.record(u64::from(consumer_idx - idx));
         }
-        let types: Vec<ddsc_isa::OpType> = members.iter().map(|&(_, t)| t).collect();
-        let key = PatternKey::new(&types);
-        match types.len() {
+        let key = PatternKey::new(&types[..n]);
+        match n {
             2 => self.pairs.record(key),
             3 => self.triples.record(key),
             _ => self.quads.record(key),

@@ -46,9 +46,7 @@
 //! and every column's storage tracks the live window span — which is
 //! exactly what makes the streaming view's bounded memory possible.
 
-use std::cmp::Reverse;
-
-use ddsc_collapse::{decode_slots, AbsorbSlot, CollapseOpts, CollapseStats, ExprState};
+use ddsc_collapse::{decode_slots, CollapseOpts, CollapseStats, ExprState, SlotSet};
 use ddsc_trace::Trace;
 use ddsc_util::{BitSet, RingBitSet, RingVec};
 
@@ -328,10 +326,11 @@ struct Cols {
     /// column directly.
     expr: RingVec<Option<ExprState>>,
     /// Unresolved producers a *later* consumer could still absorb
-    /// transitively, with their operand slots inside this expression.
-    /// The vectors are pool-recycled at issue, so ring-wrap overwrites
-    /// only ever drop empty ones.
-    cdeps: RingVec<Vec<(u32, Vec<AbsorbSlot>)>>,
+    /// transitively, with their operand slots inside this expression:
+    /// newest first, each producer at most once (see [`add_candidate`]).
+    /// The rows are recycled at issue, so ring-wrap overwrites only ever
+    /// drop empty ones.
+    cdeps: RingVec<Vec<(u32, SlotSet)>>,
     edges: EdgeArena,
 }
 
@@ -959,41 +958,21 @@ fn whole_trace_run<O: SimObserver>(
     }
 }
 
-/// Recycled heap buffers for the collapse-dependence lists.
+/// Adds `times` copies of `slots` to producer `p`'s entry in a
+/// collapse-candidate row, inserting the entry at its place in
+/// descending producer order when `p` is new.
 ///
-/// Producer rows and consumer edges are allocation-free after the SoA
-/// rewrite ([`Deps`] inlines, [`EdgeArena`] free-lists), so only the
-/// collapse machinery still owns real vectors: the per-instruction
-/// transitive-absorb candidate list and its slot vectors. Both are
-/// drawn from these pools at fetch and returned at issue, so a
-/// steady-state run allocates only while the pools warm up to window
-/// occupancy — and the `cdeps` ring column only ever overwrites empty
-/// vectors on wrap-around.
-#[derive(Default)]
-struct Pools {
-    cdeps: Vec<Vec<(u32, Vec<AbsorbSlot>)>>,
-    slots: Vec<Vec<AbsorbSlot>>,
-}
-
-impl Pools {
-    fn take_cdeps(&mut self) -> Vec<(u32, Vec<AbsorbSlot>)> {
-        self.cdeps.pop().unwrap_or_default()
-    }
-
-    fn put_cdeps(&mut self, mut v: Vec<(u32, Vec<AbsorbSlot>)>) {
-        for (_, s) in v.drain(..) {
-            self.put_slots(s);
+/// Rows stay newest first with each producer at most once, so the
+/// greedy absorb scans a row in place, nearest producer first.
+fn add_candidate(row: &mut Vec<(u32, SlotSet)>, p: u32, slots: SlotSet, times: u16) {
+    let at = row.partition_point(|&(q, _)| q > p);
+    match row.get_mut(at) {
+        Some((q, existing)) if *q == p => existing.add_times(slots, times),
+        _ => {
+            let mut set = SlotSet::default();
+            set.add_times(slots, times);
+            row.insert(at, (p, set));
         }
-        self.cdeps.push(v);
-    }
-
-    fn take_slots(&mut self) -> Vec<AbsorbSlot> {
-        self.slots.pop().unwrap_or_else(|| Vec::with_capacity(4))
-    }
-
-    fn put_slots(&mut self, mut v: Vec<AbsorbSlot>) {
-        v.clear();
-        self.slots.push(v);
     }
 }
 
@@ -1060,9 +1039,10 @@ fn run_timing_loop<V: PreparedSource, O: SimObserver, const W: u32>(
     let mut collapse = CollapseStats::new();
     let mut participant = RingBitSet::with_capacity(ws * 4);
     let mut eliminated = 0u64;
-    let mut pools = Pools::default();
-    // Scratch reused across absorb iterations (see the collapse loop).
-    let mut order: Vec<usize> = Vec::new();
+    // Emptied candidate rows returned at issue and reused at fetch, so a
+    // steady-state run allocates only while this warms up to window
+    // occupancy.
+    let mut spare_rows: Vec<Vec<(u32, SlotSet)>> = Vec::new();
 
     let mut fetch = 0usize;
     let mut exhausted = false;
@@ -1172,7 +1152,7 @@ fn run_timing_loop<V: PreparedSource, O: SimObserver, const W: u32>(
             } else {
                 None
             };
-            let mut collapse_deps = pools.take_cdeps();
+            let mut collapse_deps = spare_rows.pop().unwrap_or_default();
             if expr.is_some() {
                 // Initial candidates: unresolved producers referenced by
                 // the base instruction through collapsible operands —
@@ -1183,9 +1163,7 @@ fn run_timing_loop<V: PreparedSource, O: SimObserver, const W: u32>(
                         && !view.value_bypass(p as usize)
                     {
                         let (slots, count) = decode_slots(code);
-                        let mut sv = pools.take_slots();
-                        sv.extend_from_slice(&slots[..count]);
-                        collapse_deps.push((p, sv));
+                        add_candidate(&mut collapse_deps, p, SlotSet::of(&slots[..count]), 1);
                     }
                 }
                 // Greedy absorb, nearest producer first, until nothing
@@ -1193,11 +1171,7 @@ fn run_timing_loop<V: PreparedSource, O: SimObserver, const W: u32>(
                 loop {
                     let cur = expr.as_ref().expect("expr present in collapse loop");
                     let mut chosen: Option<(usize, ExprState)> = None;
-                    order.clear();
-                    order.extend(0..collapse_deps.len());
-                    order.sort_by_key(|&k| Reverse(collapse_deps[k].0));
-                    for &k in &order {
-                        let (p, ref slots) = collapse_deps[k];
+                    for (k, &(p, slots)) in collapse_deps.iter().enumerate() {
                         let pu = p as usize;
                         // In-window is a completion-column property now:
                         // anything issued, eliminated or evicted reads a
@@ -1211,15 +1185,13 @@ fn run_timing_loop<V: PreparedSource, O: SimObserver, const W: u32>(
                         let Some(p_expr) = cols.expr.get(pu).and_then(|o| o.as_ref()) else {
                             continue;
                         };
-                        if let Some(merged) = cur.absorb_with(p_expr, slots, &opts) {
+                        if let Some(merged) = cur.absorb_set(p_expr, slots, &opts) {
                             chosen = Some((k, merged));
                             break;
                         }
                     }
                     let Some((k, merged)) = chosen else { break };
-                    let (p, slots) = collapse_deps.swap_remove(k);
-                    let occ = slots.len();
-                    pools.put_slots(slots);
+                    let (p, slots) = collapse_deps.remove(k);
                     let pu = p as usize;
                     // Remove the collapsed dependence and inherit the
                     // producer's own dependences (leaf availability).
@@ -1245,23 +1217,10 @@ fn run_timing_loop<V: PreparedSource, O: SimObserver, const W: u32>(
                         group.add(q, comp(&cols.completion, q));
                     }
                     // Inherit the producer's transitive collapse
-                    // candidates, replicating each slot list once per
+                    // candidates, each slot list counted once per
                     // operand slot the absorbed producer occupied.
-                    for (q, s) in cols.cdeps.get(pu).expect("in-window producer row") {
-                        match collapse_deps.iter_mut().find(|(x, _)| x == q) {
-                            Some((_, existing)) => {
-                                for _ in 0..occ {
-                                    existing.extend_from_slice(s);
-                                }
-                            }
-                            None => {
-                                let mut rep = pools.take_slots();
-                                for _ in 0..occ {
-                                    rep.extend_from_slice(s);
-                                }
-                                collapse_deps.push((*q, rep));
-                            }
-                        }
+                    for &(q, s) in cols.cdeps.get(pu).expect("in-window producer row") {
+                        add_candidate(&mut collapse_deps, q, s, slots.len());
                     }
                     expr = Some(merged);
                 }
@@ -1539,10 +1498,11 @@ fn run_timing_loop<V: PreparedSource, O: SimObserver, const W: u32>(
                     }
                 }
             }
-            // Return the issued row's collapse-candidate buffers to the
-            // pools (the dependence rows are inline — nothing to free).
-            let cd = std::mem::take(cols.cdeps.get_mut(idx_usize));
-            pools.put_cdeps(cd);
+            // Recycle the issued instruction's candidate row (the
+            // dependence rows are inline — nothing to free).
+            let mut cd = std::mem::take(cols.cdeps.get_mut(idx_usize));
+            cd.clear();
+            spare_rows.push(cd);
             true
         });
         // Batch retirement: one counter update per cycle, not per pop.
@@ -2396,6 +2356,13 @@ mod tests {
         let mut c = SimConfig::paper(PaperConfig::C, 8);
         c.zero_detection = false;
         variants.push(c);
+        // The other collapse devices: pairs only, triples, the 3-1 device.
+        for (members, ops) in [(2, 4), (3, 4), (4, 3)] {
+            let mut c = SimConfig::paper(PaperConfig::C, 8);
+            c.max_collapse_members = members;
+            c.max_collapse_ops = ops;
+            variants.push(c);
+        }
         variants
     }
 

@@ -276,6 +276,15 @@ fn prepared_matches_reference_on_benchmark_traces() {
     c.predictor_n = 11;
     c.stride_bits = 9;
     configs.push(c);
+    // Every collapse device: pairs only, triples, the 3-1 device. Real
+    // code gives consumers several live candidates at once, so this is
+    // where the order of the candidate rows is exercised.
+    for (members, ops) in [(2, 4), (3, 4), (4, 3)] {
+        let mut c = SimConfig::paper(PaperConfig::C, 8);
+        c.max_collapse_members = members;
+        c.max_collapse_ops = ops;
+        configs.push(c);
+    }
 
     for config in &configs {
         assert_eq!(

@@ -9,18 +9,22 @@
 //! measures what full cycle-attribution collection actually costs.
 //!
 //! The run-supervision PR rides the same seam and inherits the same
-//! bar: `--cell-timeout` off must leave `metrics_off` untouched
-//! (`simulate_prepared` compiles with `CANCELLABLE = false`, so the
-//! poll is statically dead code). `timeout_armed` measures what an
+//! bar: `--cell-timeout` off must leave `metrics_off` untouched (a run
+//! without a token compiles with `CANCELLABLE = false`, so the poll is
+//! statically dead code). `timeout_armed` measures what an
 //! armed-but-unexpired deadline actually costs — one `Instant::now()`
-//! per `POLL_STRIDE` retired instructions.
+//! per `POLL_STRIDE` retired instructions. Both armed variants go
+//! through `simulate_with`, whose `RunOptions` pick the observer at run
+//! time.
+//!
+//! Run with `cargo bench -q -p ddsc-bench --bench observer_overhead`.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ddsc_core::{
-    simulate_prepared, simulate_with_metrics, try_simulate_prepared, CancelToken, PaperConfig,
-    PreparedTrace, SimConfig,
+    simulate_prepared, simulate_with, CancelToken, PaperConfig, PreparedTrace, RunOptions,
+    SimConfig,
 };
 use ddsc_workloads::Benchmark;
 
@@ -43,7 +47,7 @@ fn observer_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("observer_overhead");
     group.sample_size(10);
     group.throughput(Throughput::Elements(insts));
-    // The production path: NoopObserver, every hook statically dead.
+    // The production path: the no-op observer, every hook statically dead.
     group.bench_function("metrics_off", |b| {
         b.iter(|| {
             cells
@@ -56,25 +60,28 @@ fn observer_overhead(c: &mut Criterion) {
     // poll every POLL_STRIDE retirements, never actually expiring.
     group.bench_function("timeout_armed", |b| {
         b.iter(|| {
-            let token = CancelToken::with_deadline(Duration::from_secs(3600));
+            let options = RunOptions {
+                cancel: Some(CancelToken::with_deadline(Duration::from_secs(3600))),
+                ..RunOptions::default()
+            };
             cells
                 .iter()
-                .map(|cfg| {
-                    try_simulate_prepared(&prepared, cfg, &token)
-                        .unwrap()
-                        .cycles
-                })
+                .map(|cfg| simulate_with(&prepared, cfg, &options).unwrap().0.cycles)
                 .sum::<u64>()
         })
     });
     // Full collection: per-cycle histograms plus cause attribution.
+    let metrics_on = RunOptions {
+        metrics: true,
+        ..RunOptions::default()
+    };
     group.bench_function("metrics_on", |b| {
         b.iter(|| {
             cells
                 .iter()
                 .map(|cfg| {
-                    let (r, m) = simulate_with_metrics(&prepared, cfg);
-                    r.cycles + m.attribution.total()
+                    let (r, m) = simulate_with(&prepared, cfg, &metrics_on).unwrap();
+                    r.cycles + m.unwrap().attribution.total()
                 })
                 .sum::<u64>()
         })

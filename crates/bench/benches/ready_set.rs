@@ -21,13 +21,13 @@
 //! 3. **Event skip**: when nothing can issue, the loop jumps the cycle
 //!    counter to the wheel's next occupied bucket instead of walking
 //!    idle cycles one at a time. Benching the skipping loop against
-//!    the stepped loop (`simulate_prepared_stepped`, the bit-identity
-//!    harness's one-cycle gait) on a narrow-width config measures what
-//!    the jump buys on idle-heavy runs.
+//!    the stepped loop (`simulate_with` under `RunOptions::step`, the
+//!    bit-identity harness's one-cycle gait) on a narrow-width config
+//!    measures what the jump buys on idle-heavy runs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ddsc_core::{
-    simulate, simulate_prepared, simulate_prepared_stepped, PaperConfig, PreparedTrace, SimConfig,
+    simulate, simulate_prepared, simulate_with, PaperConfig, PreparedTrace, RunOptions, SimConfig,
 };
 use ddsc_util::{Pcg32, RingBitSet};
 use ddsc_workloads::Benchmark;
@@ -134,6 +134,10 @@ fn event_skip(c: &mut Criterion) {
     let trace = Benchmark::Compress.trace(1996, LEN).expect("runs");
     let prepared = PreparedTrace::build(&trace);
     let config = SimConfig::paper(PaperConfig::A, 4);
+    let stepped = RunOptions {
+        step: true,
+        ..RunOptions::default()
+    };
     let mut group = c.benchmark_group("event_skip");
     group.sample_size(10);
     group.throughput(Throughput::Elements(LEN as u64));
@@ -141,7 +145,7 @@ fn event_skip(c: &mut Criterion) {
         b.iter(|| criterion::black_box(simulate_prepared(&prepared, &config)))
     });
     group.bench_function("stepped", |b| {
-        b.iter(|| criterion::black_box(simulate_prepared_stepped(&prepared, &config)))
+        b.iter(|| criterion::black_box(simulate_with(&prepared, &config, &stepped)))
     });
     // Width 2 stretches the same chains over even more idle cycles, so
     // the wheel's drain pass crosses long runs of empty buckets. This
@@ -154,7 +158,7 @@ fn event_skip(c: &mut Criterion) {
         b.iter(|| criterion::black_box(simulate_prepared(&prepared, &sparse)))
     });
     group.bench_function("stepped_sparse_w2", |b| {
-        b.iter(|| criterion::black_box(simulate_prepared_stepped(&prepared, &sparse)))
+        b.iter(|| criterion::black_box(simulate_with(&prepared, &sparse, &stepped)))
     });
     group.finish();
 }

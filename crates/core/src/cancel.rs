@@ -3,13 +3,13 @@
 //! A wedged or oversized grid cell must not stall the whole run, so the
 //! lab gives each cell a wall-clock budget. The simulator cannot be
 //! killed preemptively without poisoning shared state, so cancellation
-//! is *cooperative*: a [`CancelToken`] carries a shared deadline, and a
-//! [`CancelObserver`] polls it from inside the issue loop through the
-//! same [`SimObserver`] seam the metrics collector uses. The poll is
-//! gated by the `CANCELLABLE` associated const, so with cancellation
-//! off (the default [`NoopObserver`]) the loop monomorphizes to exactly
-//! the uncancellable hot path — the observer seam's zero-cost contract
-//! extends to deadlines.
+//! is *cooperative*: a [`CancelToken`] carries a shared deadline, passed
+//! in as [`RunOptions::cancel`](crate::RunOptions::cancel), and an
+//! internal observer polls it from inside the issue loop through the
+//! same observer seam the metrics collector uses. The poll is gated by
+//! the observer's `CANCELLABLE` associated const, so a run without a
+//! token monomorphizes to exactly the uncancellable hot path — the
+//! observer seam's zero-cost contract extends to deadlines.
 //!
 //! Polling strides: the observer consults the clock only every
 //! [`POLL_STRIDE`] loop iterations, keeping the per-iteration cost to a
@@ -113,10 +113,10 @@ impl std::error::Error for Cancelled {}
 /// cancellation compose) and answers the timing loop's cancellation
 /// polls from the token — reading the clock only every [`POLL_STRIDE`]
 /// polls. `ENABLED` mirrors the inner observer's, so wrapping a
-/// [`NoopObserver`](crate::NoopObserver) arms deadlines without turning
-/// metrics hooks on.
+/// [`NoopObserver`](crate::metrics::NoopObserver) arms deadlines without
+/// turning metrics hooks on.
 #[derive(Debug)]
-pub struct CancelObserver<O> {
+pub(crate) struct CancelObserver<O> {
     inner: O,
     token: CancelToken,
     countdown: u32,
@@ -175,7 +175,7 @@ impl<O: SimObserver> SimObserver for CancelObserver<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NoopObserver;
+    use crate::metrics::NoopObserver;
 
     #[test]
     fn never_token_never_expires() {

@@ -19,6 +19,10 @@
 //! feed the result to [`simulate_prepared`] for each cell — the
 //! config-invariant work (dependence edges, predictor verdict streams,
 //! collapse eligibility) is shared across the whole grid.
+//! [`simulate_with`] is the same run with [`RunOptions`]: audited cycle
+//! attribution ([`SimMetrics`]) and a deadline ([`CancelToken`]), each
+//! off by default and free when off. [`simulate_stream`] runs the same
+//! timing loop off a trace source in bounded memory.
 //!
 //! # Examples
 //!
@@ -48,25 +52,15 @@ pub mod simulator;
 pub mod stream;
 pub mod validate;
 
-pub use cancel::{CancelObserver, CancelToken, Cancelled};
+pub use cancel::{CancelToken, Cancelled};
 pub use config::{
     ConfidenceParams, Latencies, LoadSpecMode, PaperConfig, SimConfig, ValueSpecMode,
 };
 pub use dataflow::{analyze_dataflow, DataflowAnalysis};
-pub use metrics::{
-    AuditError, CycleAttribution, MetricsCollector, NoopObserver, SimMetrics, SimObserver,
-    StallCause,
-};
+pub use metrics::{AuditError, CycleAttribution, SimMetrics, StallCause};
 pub use prepass::{BranchStream, PreparedTrace, StreamingPrepass, ValueStream};
 pub use reference::simulate_reference;
 pub use result::{BranchRunStats, LoadClass, LoadSpecStats, SimResult, StallStats, ValueSpecStats};
-pub use simulator::{
-    simulate, simulate_prepared, simulate_prepared_observed, simulate_prepared_stepped,
-    simulate_with_metrics, simulate_with_metrics_stepped, try_simulate_prepared,
-    try_simulate_prepared_observed, try_simulate_with_metrics,
-};
-pub use stream::{
-    simulate_stream, simulate_stream_with_metrics, try_simulate_stream,
-    try_simulate_stream_observed, StreamError, DEFAULT_CHUNK_SIZE,
-};
+pub use simulator::{simulate, simulate_prepared, simulate_with, RunOptions};
+pub use stream::{simulate_stream, StreamError, DEFAULT_CHUNK_SIZE};
 pub use validate::{TraceValidator, ValidationError};

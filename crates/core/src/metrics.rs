@@ -2,23 +2,26 @@
 //!
 //! The simulator's headline number is IPC, but the limit study lives on
 //! *why* IPC moves between configurations A–E. This module threads a
-//! zero-cost-when-off observer through [`simulate_prepared`]'s issue
-//! loop and classifies every simulated cycle into exactly one bucket:
-//! either at least one instruction issued, or the machine was idle for a
-//! single dominant reason (unresolved mispredicted branch, memory
-//! dependence, address generation, a long-latency multiply/divide, the
-//! window filling up, or plain dependence height). The partition is a
-//! hard invariant — [`CycleAttribution::audit`] checks
-//! `sum(buckets) == total cycles` and [`simulate_with_metrics`] enforces
-//! it on every run — so the attribution doubles as a second, semantic
-//! oracle for the timing loop beyond bit-identity with the reference.
+//! zero-cost-when-off observer through the timing loop and classifies
+//! every simulated cycle into exactly one bucket: either at least one
+//! instruction issued, or the machine was idle for a single dominant
+//! reason (unresolved mispredicted branch, memory dependence, address
+//! generation, a long-latency multiply/divide, the window filling up,
+//! or plain dependence height). The partition is a hard invariant —
+//! [`CycleAttribution::audit`] checks `sum(buckets) == total cycles`
+//! and every metrics-on [`simulate_with`] run enforces it — so the
+//! attribution doubles as a second, semantic oracle for the timing loop
+//! beyond bit-identity with the reference.
 //!
-//! The observer is a compile-time switch: [`SimObserver::ENABLED`] is an
-//! associated `const`, so the [`NoopObserver`] monomorphizes every hook
-//! into dead code and [`simulate_prepared`] keeps its PR 2 hot path.
+//! The observer is internal to the crate and a compile-time switch:
+//! `SimObserver::ENABLED` is an associated `const`, so the no-op
+//! observer a metrics-off run uses monomorphizes every hook into dead
+//! code and [`simulate_prepared`] keeps the machine code it had before
+//! the observer existed. [`RunOptions::metrics`] is the public switch.
 //!
 //! [`simulate_prepared`]: crate::simulate_prepared
-//! [`simulate_with_metrics`]: crate::simulate_with_metrics
+//! [`simulate_with`]: crate::simulate_with
+//! [`RunOptions::metrics`]: crate::RunOptions::metrics
 
 use std::fmt;
 
@@ -86,17 +89,18 @@ impl fmt::Display for StallCause {
 /// [`NoopObserver`] it is `false`, the hook blocks are statically dead,
 /// and the monomorphized loop is the same machine code as before the
 /// observer existed.
-pub trait SimObserver {
+pub(crate) trait SimObserver {
     /// Whether the simulator should emit events at all.
     const ENABLED: bool = true;
 
     /// Whether the simulator should poll [`poll_cancelled`] each loop
     /// iteration. `false` for every plain observer — the cancellation
     /// branch is then statically dead and the timing loop keeps its
-    /// uncancellable machine code. [`CancelObserver`](crate::CancelObserver)
-    /// overrides it to `true`.
+    /// uncancellable machine code; [`CancelObserver`] overrides it to
+    /// `true`.
     ///
     /// [`poll_cancelled`]: SimObserver::poll_cancelled
+    /// [`CancelObserver`]: crate::cancel::CancelObserver
     const CANCELLABLE: bool = false;
 
     /// Asks whether the run's deadline has passed; `true` aborts the
@@ -141,7 +145,7 @@ pub trait SimObserver {
 
 /// The disabled observer: every hook compiles away.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NoopObserver;
+pub(crate) struct NoopObserver;
 
 impl SimObserver for NoopObserver {
     const ENABLED: bool = false;
@@ -303,7 +307,7 @@ impl SimMetrics {
 /// precede the end of the run; whatever is left in the tail at
 /// [`finish`](MetricsCollector::finish) is discarded.
 #[derive(Debug)]
-pub struct MetricsCollector {
+pub(crate) struct MetricsCollector {
     attribution: CycleAttribution,
     issue_util: Histogram,
     window_occupancy: Histogram,

@@ -28,23 +28,27 @@
 //! bit-identical results because they *are* the same loop. [`simulate`]
 //! composes the two stages, so single runs and grid runs share one code
 //! path — `tests::matches_the_reference_simulator` and
-//! [`crate::reference`] hold the bit-identity invariant in place.
+//! [`crate::reference`] hold the bit-identity invariant in place. Every
+//! whole-trace run goes through [`simulate_with`], whose [`RunOptions`]
+//! choose the observer (metrics, deadline) the loop is instantiated
+//! over.
 //!
 //! The loop itself is built for throughput: all per-instruction window
-//! state lives in structure-of-arrays ring columns ([`Cols`]) with
-//! fixed-capacity producer rows inlined ([`Deps`]) and consumer wake-up
-//! edges in an intrusive arena ([`EdgeArena`]), so fetch and issue
+//! state lives in structure-of-arrays ring columns (`Cols`) with
+//! fixed-capacity producer rows inlined (`Deps`) and consumer wake-up
+//! edges in an intrusive arena (`EdgeArena`), so fetch and issue
 //! touch no allocator and the hot scans walk contiguous memory;
 //! wake-ups go through a 512-bucket timing wheel with a bucket-occupancy
 //! bitmap (latencies are `u8`, so a completion is never more than 255
 //! cycles out and an idle skip never jumps further); idle stretches are
 //! skipped by jumping the cycle counter to the wheel's next occupied
-//! bucket ([`Wheel::next_event`]); the ready set is a ring bit set whose
+//! bucket (`Wheel::next_event`); the ready set is a ring bit set whose
 //! word-wise ascending drain yields oldest-first issue order for free;
 //! the cycle loop is monomorphised over the paper's issue widths the
-//! same way the `CANCELLABLE` const generic specialises cancellation;
-//! and every column's storage tracks the live window span — which is
-//! exactly what makes the streaming view's bounded memory possible.
+//! same way the observer's `CANCELLABLE` const specialises
+//! cancellation; and every column's storage tracks the live window
+//! span — which is exactly what makes the streaming view's bounded
+//! memory possible.
 
 use ddsc_collapse::{decode_slots, CollapseOpts, CollapseStats, ExprState, SlotSet};
 use ddsc_trace::Trace;
@@ -736,96 +740,87 @@ pub fn simulate(trace: &Trace, config: &SimConfig) -> SimResult {
 /// Simulates a prepared trace under one configuration.
 ///
 /// Bit-identical to [`simulate`] on the source trace; the pre-pass cost
-/// is paid once per trace instead of once per configuration.
+/// is paid once per trace instead of once per configuration. This is
+/// [`simulate_with`] under the default [`RunOptions`].
 pub fn simulate_prepared(prepared: &PreparedTrace, config: &SimConfig) -> SimResult {
-    simulate_prepared_observed(prepared, config, &mut NoopObserver)
+    let (result, _) = simulate_with(prepared, config, &RunOptions::default())
+        .unwrap_or_else(|_| unreachable!("a run without a token cannot be cancelled"));
+    result
 }
 
-/// Simulates a prepared trace and collects the full cycle-attribution
-/// metrics, enforcing the accounting identity
-/// `sum(attributed cycles) == total cycles` as a runtime audit.
-///
-/// The [`SimResult`] is bit-identical to [`simulate_prepared`]'s — the
-/// observer only reads loop state, never steers it.
-///
-/// # Panics
-///
-/// Panics if the attribution identity fails (a simulator bug, not a
-/// caller error).
-pub fn simulate_with_metrics(
-    prepared: &PreparedTrace,
-    config: &SimConfig,
-) -> (SimResult, SimMetrics) {
-    let mut collector = MetricsCollector::new(config);
-    let result = simulate_prepared_observed(prepared, config, &mut collector);
-    let metrics = collector
-        .finish(&result)
-        .expect("cycle-attribution identity must hold");
-    (result, metrics)
+/// How a [`simulate_with`] run is observed and stepped. The default is
+/// the plain run: no metrics, no deadline, idle cycles skipped.
+#[derive(Debug, Default, Clone)]
+pub struct RunOptions {
+    /// Collect the audited cycle-attribution [`SimMetrics`].
+    pub metrics: bool,
+    /// Abort with [`Cancelled`] once this token fires; the token is read
+    /// every [`POLL_STRIDE`](crate::cancel::POLL_STRIDE) loop
+    /// iterations.
+    pub cancel: Option<CancelToken>,
+    /// Walk every idle cycle one by one instead of jumping to the next
+    /// wheel event. Bit-identical by construction; kept so the identity
+    /// is testable from outside the crate.
+    #[doc(hidden)]
+    pub step: bool,
 }
 
-/// Simulates a prepared trace, streaming classification events into an
-/// observer.
+/// Simulates a prepared trace with the metrics, deadline and gait that
+/// `options` asks for.
 ///
-/// With [`NoopObserver`] (whose `ENABLED` is `false`) every hook block
-/// monomorphizes away and this is exactly [`simulate_prepared`]; with
-/// [`MetricsCollector`] it feeds [`simulate_with_metrics`]. The observer
-/// never influences timing: the returned [`SimResult`] is bit-identical
-/// for every observer type.
+/// The [`SimResult`] is bit-identical to [`simulate_prepared`]'s for
+/// every option: metrics and the deadline only read loop state, never
+/// steer it. Each (deadline, metrics) pair runs its own monomorphised
+/// loop, so a run without them pays for neither. The metrics come back
+/// exactly when `options.metrics` is set, and satisfy the accounting
+/// identity `sum(attributed cycles) == total cycles`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the observer reports cancellation — callers that arm a
-/// deadline must use [`try_simulate_prepared_observed`].
-pub fn simulate_prepared_observed<O: SimObserver>(
-    prepared: &PreparedTrace,
-    config: &SimConfig,
-    obs: &mut O,
-) -> SimResult {
-    match try_simulate_prepared_observed(prepared, config, obs) {
-        Ok(r) => r,
-        Err(Cancelled) => panic!("simulation cancelled without a cancellation-aware caller"),
-    }
-}
-
-/// Simulates a prepared trace under a deadline: bit-identical to
-/// [`simulate_prepared`] when the token survives, `Err(`[`Cancelled`]`)`
-/// if the deadline passes mid-run.
-///
-/// The metrics-off path is untouched — cancellation rides the observer
-/// seam, and the token is only consulted every
-/// [`POLL_STRIDE`](crate::cancel::POLL_STRIDE) loop iterations.
-pub fn try_simulate_prepared(
-    prepared: &PreparedTrace,
-    config: &SimConfig,
-    token: &CancelToken,
-) -> Result<SimResult, Cancelled> {
-    let mut obs = CancelObserver::new(NoopObserver, token.clone());
-    try_simulate_prepared_observed(prepared, config, &mut obs)
-}
-
-/// [`simulate_with_metrics`] under a deadline: the metrics collection
-/// and the cancellation poll compose through one wrapped observer.
+/// [`Cancelled`] when `options.cancel` fires mid-run; no partial result
+/// is left behind.
 ///
 /// # Panics
 ///
 /// Panics if the attribution identity fails on a completed run (a
 /// simulator bug, not a caller error).
-pub fn try_simulate_with_metrics(
+pub fn simulate_with(
     prepared: &PreparedTrace,
     config: &SimConfig,
-    token: &CancelToken,
-) -> Result<(SimResult, SimMetrics), Cancelled> {
-    let mut obs = CancelObserver::new(MetricsCollector::new(config), token.clone());
-    let result = try_simulate_prepared_observed(prepared, config, &mut obs)?;
-    let metrics = obs
-        .into_inner()
-        .finish(&result)
-        .expect("cycle-attribution identity must hold");
-    Ok((result, metrics))
+    options: &RunOptions,
+) -> Result<(SimResult, Option<SimMetrics>), Cancelled> {
+    let step = options.step;
+    let audited = |collector: MetricsCollector, result: &SimResult| {
+        collector
+            .finish(result)
+            .expect("cycle-attribution identity must hold")
+    };
+    match (&options.cancel, options.metrics) {
+        (None, false) => {
+            let result = whole_trace_run(prepared, config, &mut NoopObserver, step)?;
+            Ok((result, None))
+        }
+        (None, true) => {
+            let mut collector = MetricsCollector::new(config);
+            let result = whole_trace_run(prepared, config, &mut collector, step)?;
+            let metrics = audited(collector, &result);
+            Ok((result, Some(metrics)))
+        }
+        (Some(token), false) => {
+            let mut obs = CancelObserver::new(NoopObserver, token.clone());
+            let result = whole_trace_run(prepared, config, &mut obs, step)?;
+            Ok((result, None))
+        }
+        (Some(token), true) => {
+            let mut obs = CancelObserver::new(MetricsCollector::new(config), token.clone());
+            let result = whole_trace_run(prepared, config, &mut obs, step)?;
+            let metrics = audited(obs.into_inner(), &result);
+            Ok((result, Some(metrics)))
+        }
+    }
 }
 
-/// The cancellable core of every whole-trace simulation entry point.
+/// The body of every whole-trace run.
 ///
 /// Resolves the config-class verdict streams against the prepared
 /// columns (cached for the default geometry, recomputed through the same
@@ -834,51 +829,8 @@ pub fn try_simulate_with_metrics(
 /// `false` (every plain observer) the poll block is statically dead and
 /// this monomorphizes to the exact pre-cancellation loop; when `true`,
 /// the observer is polled once per loop iteration and a `true` answer
-/// aborts with [`Cancelled`] — leaving no partial result behind.
-pub fn try_simulate_prepared_observed<O: SimObserver>(
-    prepared: &PreparedTrace,
-    config: &SimConfig,
-    obs: &mut O,
-) -> Result<SimResult, Cancelled> {
-    whole_trace_run(prepared, config, obs, false)
-}
-
-/// [`simulate_prepared`] with event-driven cycle skipping disabled: the
-/// loop walks every idle cycle one by one instead of jumping to the
-/// next wheel event.
-///
-/// Bit-identical to [`simulate_prepared`] by construction — the skipped
-/// span is provably inert — and kept as a public (hidden) entry point so
-/// the identity is *testable* from the outside, not just argued.
-#[doc(hidden)]
-pub fn simulate_prepared_stepped(prepared: &PreparedTrace, config: &SimConfig) -> SimResult {
-    whole_trace_run(prepared, config, &mut NoopObserver, true)
-        .unwrap_or_else(|_| unreachable!("NoopObserver cannot cancel"))
-}
-
-/// [`simulate_with_metrics`] with event-driven cycle skipping disabled;
-/// the per-cycle idle classification must agree with the span-at-a-time
-/// classification bit for bit.
-///
-/// # Panics
-///
-/// Panics if the attribution identity fails (a simulator bug).
-#[doc(hidden)]
-pub fn simulate_with_metrics_stepped(
-    prepared: &PreparedTrace,
-    config: &SimConfig,
-) -> (SimResult, SimMetrics) {
-    let mut collector = MetricsCollector::new(config);
-    let result = whole_trace_run(prepared, config, &mut collector, true)
-        .unwrap_or_else(|_| unreachable!("MetricsCollector cannot cancel"));
-    let metrics = collector
-        .finish(&result)
-        .expect("cycle-attribution identity must hold");
-    (result, metrics)
-}
-
-/// Shared body of the whole-trace entry points; `step` selects the
-/// non-skipping loop (see [`simulate_prepared_stepped`]).
+/// aborts with [`Cancelled`]. `step` selects the non-skipping gait
+/// ([`RunOptions::step`]).
 fn whole_trace_run<O: SimObserver>(
     prepared: &PreparedTrace,
     config: &SimConfig,
@@ -1007,7 +959,8 @@ pub(crate) fn run_dispatched<V: PreparedSource, O: SimObserver>(
 /// event. The skipped span is inert — nothing fetches, drains or
 /// issues inside it, so head-of-wheel classification and all counters
 /// are constant across it — which is why the two modes are bit-identical
-/// (pinned by `simulate_prepared_stepped` and its proptests).
+/// (pinned through [`RunOptions::step`] by the proptests in
+/// `tests/event_skip_identity.rs`).
 fn run_timing_loop<V: PreparedSource, O: SimObserver, const W: u32>(
     view: &mut V,
     config: &SimConfig,
@@ -1735,6 +1688,18 @@ mod tests {
         t
     }
 
+    /// A metrics-on run without a deadline.
+    fn with_metrics(prepared: &PreparedTrace, config: &SimConfig) -> (SimResult, SimMetrics) {
+        let options = RunOptions {
+            metrics: true,
+            ..RunOptions::default()
+        };
+        match simulate_with(prepared, config, &options) {
+            Ok((result, Some(metrics))) => (result, metrics),
+            other => panic!("a metrics-on run without a deadline returned {other:?}"),
+        }
+    }
+
     #[test]
     fn cancellable_path_is_bit_identical_when_the_deadline_survives() {
         let t = dependent_chain(2000);
@@ -1742,14 +1707,16 @@ mod tests {
         for c in PaperConfig::ALL {
             let cfg = SimConfig::paper(c, 8);
             let plain = simulate_prepared(&prepared, &cfg);
-            let token = CancelToken::never();
-            let cancellable = try_simulate_prepared(&prepared, &cfg, &token)
-                .expect("a never-token must not cancel");
-            assert_eq!(cancellable, plain, "config {}", c.label());
-
-            let (with_metrics, _) = try_simulate_with_metrics(&prepared, &cfg, &token)
-                .expect("a never-token must not cancel");
-            assert_eq!(with_metrics, plain, "metrics, config {}", c.label());
+            for metrics in [false, true] {
+                let options = RunOptions {
+                    metrics,
+                    cancel: Some(CancelToken::never()),
+                    ..RunOptions::default()
+                };
+                let (armed, _) = simulate_with(&prepared, &cfg, &options)
+                    .expect("a never-token must not cancel");
+                assert_eq!(armed, plain, "config {}, metrics {metrics}", c.label());
+            }
         }
     }
 
@@ -1760,11 +1727,18 @@ mod tests {
         let prepared = PreparedTrace::build(&t);
         let cfg = SimConfig::base(8);
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        assert_eq!(
-            try_simulate_prepared(&prepared, &cfg, &token),
-            Err(Cancelled)
-        );
-        assert!(try_simulate_with_metrics(&prepared, &cfg, &token).is_err());
+        for metrics in [false, true] {
+            let options = RunOptions {
+                metrics,
+                cancel: Some(token.clone()),
+                ..RunOptions::default()
+            };
+            assert_eq!(
+                simulate_with(&prepared, &cfg, &options),
+                Err(Cancelled),
+                "metrics {metrics}"
+            );
+        }
     }
 
     #[test]
@@ -2431,8 +2405,23 @@ mod tests {
         grid.extend(variant_configs());
         for config in &grid {
             let plain = simulate_prepared(&prepared, config);
-            let (observed, metrics) = simulate_with_metrics(&prepared, config);
+            let (observed, metrics) = with_metrics(&prepared, config);
             assert_eq!(plain, observed, "observer changed timing at {config:?}");
+            // An armed deadline that never fires must forward every
+            // metrics hook: same result, same metrics.
+            let armed = RunOptions {
+                metrics: true,
+                cancel: Some(CancelToken::never()),
+                ..RunOptions::default()
+            };
+            let (armed_result, armed_metrics) =
+                simulate_with(&prepared, config, &armed).expect("a never-token must not cancel");
+            assert_eq!(armed_result, plain, "deadline changed timing at {config:?}");
+            assert_eq!(
+                armed_metrics.as_ref(),
+                Some(&metrics),
+                "deadline changed metrics at {config:?}"
+            );
             assert_eq!(
                 metrics.attribution.total(),
                 plain.cycles,
@@ -2481,7 +2470,7 @@ mod tests {
         // never idle, just narrow.
         let chain = dependent_chain(1000);
         let chain_prep = PreparedTrace::build(&chain);
-        let (res, m) = simulate_with_metrics(&chain_prep, &SimConfig::base(8));
+        let (res, m) = with_metrics(&chain_prep, &SimConfig::base(8));
         assert_eq!(m.attribution.issue, res.cycles, "{:?}", m.attribution);
         assert!(m.issue_util.count(1) > res.cycles * 9 / 10);
 
@@ -2490,7 +2479,7 @@ mod tests {
         // limiter).
         let mut cfg = SimConfig::base(2048);
         cfg.latencies.default = 3;
-        let (_, m) = simulate_with_metrics(&chain_prep, &cfg);
+        let (_, m) = with_metrics(&chain_prep, &cfg);
         assert!(
             m.attribution.dep_height > m.attribution.total() / 2,
             "slow chain in a huge window is dependence-height bound: {:?}",
@@ -2502,7 +2491,7 @@ mod tests {
         // window becomes the co-limiter and the bucket shifts.
         let mut cfg = SimConfig::base(8);
         cfg.latencies.default = 3;
-        let (_, m) = simulate_with_metrics(&chain_prep, &cfg);
+        let (_, m) = with_metrics(&chain_prep, &cfg);
         assert!(
             m.attribution.window_full > m.attribution.total() / 2,
             "slow chain behind a full window: {:?}",
@@ -2521,7 +2510,7 @@ mod tests {
                 0,
             ));
         }
-        let (_, m) = simulate_with_metrics(&PreparedTrace::build(&divs), &SimConfig::base(8));
+        let (_, m) = with_metrics(&PreparedTrace::build(&divs), &SimConfig::base(8));
         assert!(
             m.attribution.long_latency > m.attribution.total() / 2,
             "a divide chain waits out divide latency: {:?}",
@@ -2541,7 +2530,7 @@ mod tests {
                 0x1000 + 8 * i,
             ));
         }
-        let (_, m) = simulate_with_metrics(&PreparedTrace::build(&chase), &SimConfig::base(8));
+        let (_, m) = with_metrics(&PreparedTrace::build(&chase), &SimConfig::base(8));
         assert!(
             m.attribution.address > m.attribution.total() / 3,
             "pointer chase waits on address generation: {:?}",
@@ -2577,7 +2566,7 @@ mod tests {
         }
         let mut cfg = SimConfig::base(8);
         cfg.latencies.default = 3;
-        let (_, m) = simulate_with_metrics(&PreparedTrace::build(&mem), &cfg);
+        let (_, m) = with_metrics(&PreparedTrace::build(&mem), &cfg);
         let idle_max = StallCause::ALL
             .into_iter()
             .map(|c| m.attribution.idle(c))
@@ -2626,7 +2615,7 @@ mod tests {
             }
         }
         let br_prep = PreparedTrace::build(&br);
-        let (_, m) = simulate_with_metrics(&br_prep, &SimConfig::base(8));
+        let (_, m) = with_metrics(&br_prep, &SimConfig::base(8));
         assert!(
             m.attribution.branch > m.attribution.total() / 4,
             "mispredict squash claims the divide-bound idle time: {:?}",
@@ -2635,7 +2624,7 @@ mod tests {
         assert!(m.branch_misses > 0 && m.branch_hits > 0);
         let mut perfect = SimConfig::base(8);
         perfect.perfect_branches = true;
-        let (_, mp) = simulate_with_metrics(&br_prep, &perfect);
+        let (_, mp) = with_metrics(&br_prep, &perfect);
         assert_eq!(
             mp.attribution.branch, 0,
             "perfect prediction leaves no squash cycles: {:?}",
@@ -2644,7 +2633,7 @@ mod tests {
         assert!(mp.branch_misses == 0);
 
         let indep = independent(4000);
-        let (res, m) = simulate_with_metrics(&PreparedTrace::build(&indep), &SimConfig::base(4));
+        let (res, m) = with_metrics(&PreparedTrace::build(&indep), &SimConfig::base(4));
         assert!(
             m.attribution.issue * 10 > m.attribution.total() * 9,
             "independent code issues nearly every cycle: {:?}",
@@ -2659,7 +2648,7 @@ mod tests {
     #[test]
     fn metrics_on_an_empty_trace_are_empty() {
         let prepared = PreparedTrace::build(&Trace::new("empty"));
-        let (res, m) = simulate_with_metrics(&prepared, &SimConfig::base(4));
+        let (res, m) = with_metrics(&prepared, &SimConfig::base(4));
         assert_eq!(res.cycles, 0);
         assert_eq!(m.attribution.total(), 0);
         assert_eq!(m.issue_util.total(), 0);

@@ -5,10 +5,9 @@
 //! length). This module runs the *same* timing loop against a sliding
 //! window instead: instructions are pulled from a [`TraceSource`] one
 //! chunk at a time, each chunk is validated and fed to the incremental
-//! pre-pass ([`StreamingPrepass`](crate::prepass::StreamingPrepass)),
-//! and columns below the retirement watermark are evicted as the
-//! simulator proves they can never be read again. Peak memory is
-//! O(window + chunk), not O(trace length).
+//! pre-pass ([`StreamingPrepass`]), and columns below the retirement
+//! watermark are evicted as the simulator proves they can never be read
+//! again. Peak memory is O(window + chunk), not O(trace length).
 //!
 //! Bit-identity with the whole-trace path is structural, not argued:
 //! both paths are the one generic timing loop in [`crate::simulator`],
@@ -42,8 +41,7 @@ use std::fmt;
 use ddsc_collapse::{CollapseOpts, ExprState};
 use ddsc_trace::{SourceError, TraceInst, TraceSource};
 
-use crate::cancel::{CancelObserver, CancelToken};
-use crate::metrics::{MetricsCollector, NoopObserver, SimMetrics, SimObserver};
+use crate::metrics::NoopObserver;
 use crate::prepass::{StreamingPrepass, F_STREAM_CONSUMER};
 use crate::simulator::{run_dispatched, PreparedSource, ProducerRow, RunError};
 use crate::validate::{TraceValidator, ValidationError};
@@ -64,8 +62,6 @@ pub enum StreamError {
     /// provide (currently: node elimination, which counts every future
     /// reader of a result).
     Unsupported(&'static str),
-    /// The run's cancellation token fired.
-    Cancelled,
 }
 
 impl fmt::Display for StreamError {
@@ -76,7 +72,6 @@ impl fmt::Display for StreamError {
             StreamError::Unsupported(what) => {
                 write!(f, "configuration unsupported in streaming mode: {what}")
             }
-            StreamError::Cancelled => write!(f, "streaming simulation cancelled"),
         }
     }
 }
@@ -141,7 +136,7 @@ impl<S: TraceSource> PreparedSource for StreamView<'_, S> {
     #[inline]
     fn readers_of(&self, _i: usize) -> u32 {
         // Whole-trace reader counts serve node elimination only, and
-        // streaming entry points reject configs that enable it.
+        // `simulate_stream` rejects configs that enable it.
         0
     }
 
@@ -214,64 +209,6 @@ pub fn simulate_stream<S: TraceSource>(
     config: &SimConfig,
     chunk_size: usize,
 ) -> Result<SimResult, StreamError> {
-    try_simulate_stream_observed(source, config, chunk_size, &mut NoopObserver)
-}
-
-/// [`simulate_stream`] with the full cycle-attribution metrics,
-/// enforcing the same accounting identity as
-/// [`crate::simulate_with_metrics`].
-///
-/// # Errors
-///
-/// As for [`simulate_stream`].
-///
-/// # Panics
-///
-/// Panics if the attribution identity fails on a completed run (a
-/// simulator bug, not a caller error).
-pub fn simulate_stream_with_metrics<S: TraceSource>(
-    source: &mut S,
-    config: &SimConfig,
-    chunk_size: usize,
-) -> Result<(SimResult, SimMetrics), StreamError> {
-    let mut collector = MetricsCollector::new(config);
-    let result = try_simulate_stream_observed(source, config, chunk_size, &mut collector)?;
-    let metrics = collector
-        .finish(&result)
-        .expect("cycle-attribution identity must hold");
-    Ok((result, metrics))
-}
-
-/// [`simulate_stream`] under a deadline: [`StreamError::Cancelled`] if
-/// the token fires mid-run, bit-identical otherwise.
-///
-/// # Errors
-///
-/// As for [`simulate_stream`], plus [`StreamError::Cancelled`].
-pub fn try_simulate_stream<S: TraceSource>(
-    source: &mut S,
-    config: &SimConfig,
-    chunk_size: usize,
-    token: &CancelToken,
-) -> Result<SimResult, StreamError> {
-    let mut obs = CancelObserver::new(NoopObserver, token.clone());
-    try_simulate_stream_observed(source, config, chunk_size, &mut obs)
-}
-
-/// The observed core of every streaming entry point: reject configs
-/// that need whole-trace lookahead, wrap the source in the streaming
-/// column view, and hand off to the shared timing loop.
-///
-/// # Errors
-///
-/// As for [`simulate_stream`], plus [`StreamError::Cancelled`] when a
-/// cancellable observer fires.
-pub fn try_simulate_stream_observed<S: TraceSource, O: SimObserver>(
-    source: &mut S,
-    config: &SimConfig,
-    chunk_size: usize,
-    obs: &mut O,
-) -> Result<SimResult, StreamError> {
     if config.node_elimination {
         return Err(StreamError::Unsupported(
             "node elimination needs whole-trace reader counts",
@@ -285,10 +222,10 @@ pub fn try_simulate_stream_observed<S: TraceSource, O: SimObserver>(
         chunk: chunk_size.max(1),
         done: false,
     };
-    match run_dispatched(&mut view, config, obs, false) {
+    match run_dispatched(&mut view, config, &mut NoopObserver, false) {
         Ok(r) => Ok(r),
-        Err(RunError::Cancelled) => Err(StreamError::Cancelled),
         Err(RunError::Fault(e)) => Err(e),
+        Err(RunError::Cancelled) => unreachable!("NoopObserver cannot cancel"),
     }
 }
 
@@ -296,7 +233,7 @@ pub fn try_simulate_stream_observed<S: TraceSource, O: SimObserver>(
 mod tests {
     use super::*;
     use crate::simulator::testutil::mixed_trace;
-    use crate::{simulate, simulate_with_metrics, PaperConfig};
+    use crate::{simulate, PaperConfig};
     use ddsc_trace::SliceSource;
 
     #[test]
@@ -327,18 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_metrics_match_the_whole_trace_metrics() {
-        let t = mixed_trace(2500, 11);
-        let config = SimConfig::paper(PaperConfig::D, 8);
-        let (whole, whole_metrics) =
-            simulate_with_metrics(&crate::PreparedTrace::build(&t), &config);
-        let (streamed, streamed_metrics) =
-            simulate_stream_with_metrics(&mut SliceSource::new(&t), &config, 257).expect("streams");
-        assert_eq!(streamed, whole);
-        assert_eq!(streamed_metrics, whole_metrics);
-    }
-
-    #[test]
     fn node_elimination_is_rejected_up_front() {
         let t = mixed_trace(100, 3);
         let mut config = SimConfig::paper(PaperConfig::C, 8);
@@ -347,21 +272,6 @@ mod tests {
             simulate_stream(&mut SliceSource::new(&t), &config, 64),
             Err(StreamError::Unsupported(_))
         ));
-    }
-
-    #[test]
-    fn an_expired_deadline_cancels_a_streamed_run() {
-        let t = mixed_trace(50_000, 5);
-        let config = SimConfig::base(8);
-        let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        assert_eq!(
-            try_simulate_stream(&mut SliceSource::new(&t), &config, 4096, &token),
-            Err(StreamError::Cancelled)
-        );
-        let never = CancelToken::never();
-        let streamed = try_simulate_stream(&mut SliceSource::new(&t), &config, 4096, &never)
-            .expect("a never-token must not cancel");
-        assert_eq!(streamed, simulate(&t, &config));
     }
 
     #[test]

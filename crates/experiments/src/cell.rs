@@ -14,9 +14,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ddsc_core::{
-    simulate_prepared, simulate_with_metrics, try_simulate_prepared, try_simulate_with_metrics,
-    CancelToken, ConfidenceParams, Latencies, PaperConfig, PreparedTrace, SimConfig, SimMetrics,
-    SimResult,
+    simulate_with, CancelToken, Cancelled, ConfidenceParams, Latencies, PaperConfig, PreparedTrace,
+    RunOptions, SimConfig, SimMetrics, SimResult,
 };
 use ddsc_util::codec::put_str;
 use ddsc_util::fnv1a;
@@ -213,16 +212,21 @@ pub struct CellRun {
     pub result: SimResult,
     /// Cycle attribution, when the runner collects metrics.
     pub metrics: Option<SimMetrics>,
-    /// Host seconds in the timing loop (preparation excluded).
+    /// Host seconds in the simulate call: the timing loop plus
+    /// resolving the configuration's predictor verdict streams. The
+    /// first cell on a prepared trace to need a shared default stream
+    /// (McFarling branch, stride address) also trains that predictor
+    /// here, which the lab's prepass timing leaves out. Building the
+    /// prepared trace is excluded.
     pub seconds: f64,
 }
 
-/// Executes cells: entry-point dispatch, panic containment and, when
-/// supervised, the journal and cell-store writes.
+/// Executes cells: one [`simulate_with`] call per cell, panic
+/// containment and, when supervised, the journal and cell-store writes.
 #[derive(Debug, Default)]
 pub struct CellRunner {
     /// Cancels a simulation still running this long after it started.
-    /// Without one the loop compiles to the uncancellable hot path.
+    /// Without one the run takes the uncancellable hot path.
     pub deadline: Option<Duration>,
     /// Runs the metrics observer, which never moves a result bit.
     pub metrics: bool,
@@ -251,27 +255,15 @@ impl CellRunner {
             let prepared = prepare().map_err(CellError::Input)?;
             let config = key.sim_config();
             let t0 = Instant::now();
-            // The deadline-free arms call the plain entry points, so the
-            // loop monomorphizes without the cancellation poll.
-            let (result, metrics) = match (self.deadline, self.metrics) {
-                (None, false) => (simulate_prepared(&prepared, &config), None),
-                (None, true) => {
-                    let (result, metrics) = simulate_with_metrics(&prepared, &config);
-                    (result, Some(metrics))
-                }
-                (Some(budget), false) => {
-                    let token = CancelToken::with_deadline(budget);
-                    let result = try_simulate_prepared(&prepared, &config, &token)
-                        .map_err(|_| CellError::TimedOut(budget))?;
-                    (result, None)
-                }
-                (Some(budget), true) => {
-                    let token = CancelToken::with_deadline(budget);
-                    let (result, metrics) = try_simulate_with_metrics(&prepared, &config, &token)
-                        .map_err(|_| CellError::TimedOut(budget))?;
-                    (result, Some(metrics))
-                }
+            let options = RunOptions {
+                metrics: self.metrics,
+                cancel: self.deadline.map(CancelToken::with_deadline),
+                ..RunOptions::default()
             };
+            let (result, metrics) =
+                simulate_with(&prepared, &config, &options).map_err(|Cancelled| {
+                    CellError::TimedOut(self.deadline.expect("only a deadline cancels a run"))
+                })?;
             let seconds = t0.elapsed().as_secs_f64();
             Ok(CellRun {
                 result,
@@ -330,7 +322,7 @@ impl CellRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddsc_core::{LoadSpecMode, ValueSpecMode};
+    use ddsc_core::{simulate_prepared, LoadSpecMode, ValueSpecMode};
     use proptest::prelude::*;
 
     #[test]

@@ -6,9 +6,8 @@
 //! every artifact from digests alone is impossible. A [`CellStore`]
 //! keeps one small file per finished cell
 //! (`cell-{digest:016x}.bin`, conventionally under
-//! `results/cells/`), written atomically via
-//! [`publish_atomic`](ddsc_util::publish_atomic) so a crash can never
-//! publish a half-written result.
+//! `results/cells/`), written atomically via [`publish_atomic`] so a
+//! crash can never publish a half-written result.
 //!
 //! Robustness rules mirror the trace cache:
 //!

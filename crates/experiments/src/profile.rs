@@ -12,7 +12,7 @@
 //! stable field order (schema `ddsc-profile-v1`).
 //!
 //! The accounting identity — attributed cycles sum exactly to total
-//! cycles — is audited inside `simulate_with_metrics` itself and
+//! cycles — is audited inside every metrics-on `simulate_with` run and
 //! re-checked here per cell, so a profile can never silently misplace a
 //! cycle.
 

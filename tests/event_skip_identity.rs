@@ -6,14 +6,16 @@
 //! so the jump must never move a bit. These tests pin that claim three
 //! ways on random programs across every paper configuration and width:
 //! the skipping loop against the one-cycle-at-a-time stepped loop
-//! (`simulate_prepared_stepped`), both against the frozen reference
-//! simulator, and — with metrics on — the stepped and skipping runs'
-//! full idle-cause attribution against each other and against the
-//! issue+Σidle==cycles accounting identity.
+//! (`RunOptions::step`), both against the frozen reference simulator,
+//! and — with metrics on — the stepped and skipping runs' full
+//! idle-cause attribution against each other and against the
+//! issue+Σidle==cycles accounting identity. The stepped loop also runs
+//! under an armed deadline that never fires, which must not move a bit
+//! either.
 
 use ddsc::core::{
-    simulate_prepared, simulate_prepared_stepped, simulate_reference, simulate_with_metrics,
-    simulate_with_metrics_stepped, PaperConfig, PreparedTrace, SimConfig,
+    simulate_prepared, simulate_reference, simulate_with, CancelToken, PaperConfig, PreparedTrace,
+    RunOptions, SimConfig, SimMetrics, SimResult,
 };
 use ddsc::isa::Reg;
 use ddsc::vm::{Asm, Machine, Program};
@@ -44,6 +46,22 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (1u8..8, 0u16..512).prop_map(|(rs, offset)| Step::Store { rs, offset }),
         (1u8..8, -8i32..8).prop_map(|(rs, imm)| Step::CmpBranchOver { rs, imm }),
     ]
+}
+
+/// Runs the stepped gait with metrics on or off; `armed` adds a
+/// deadline that never fires.
+fn stepped(
+    prepared: &PreparedTrace,
+    config: &SimConfig,
+    metrics: bool,
+    armed: bool,
+) -> (SimResult, Option<SimMetrics>) {
+    let options = RunOptions {
+        metrics,
+        cancel: armed.then(CancelToken::never),
+        step: true,
+    };
+    simulate_with(prepared, config, &options).expect("a never-token must not cancel")
 }
 
 /// Builds a program running `iters` iterations of the random body.
@@ -115,14 +133,17 @@ proptest! {
         for cfg in PaperConfig::ALL {
             let config = SimConfig::paper(cfg, width);
             let skipping = simulate_prepared(&prepared, &config);
-            let stepped = simulate_prepared_stepped(&prepared, &config);
-            prop_assert_eq!(
-                &skipping,
-                &stepped,
-                "event skip moved a bit vs the stepped loop: config {} width {}",
-                cfg.label(),
-                width
-            );
+            for armed in [false, true] {
+                let (step_res, _) = stepped(&prepared, &config, false, armed);
+                prop_assert_eq!(
+                    &skipping,
+                    &step_res,
+                    "event skip moved a bit vs the stepped loop: config {} width {} armed {}",
+                    cfg.label(),
+                    width,
+                    armed
+                );
+            }
             let reference = simulate_reference(&trace, &config);
             prop_assert_eq!(
                 &skipping,
@@ -150,22 +171,32 @@ proptest! {
         let prepared = PreparedTrace::build(&trace);
         for cfg in PaperConfig::ALL {
             let config = SimConfig::paper(cfg, width);
-            let (skip_res, skip_metrics) = simulate_with_metrics(&prepared, &config);
-            let (step_res, step_metrics) = simulate_with_metrics_stepped(&prepared, &config);
-            prop_assert_eq!(
-                &skip_res,
-                &step_res,
-                "metrics-on event skip moved a bit: config {} width {}",
-                cfg.label(),
-                width
-            );
-            prop_assert_eq!(
-                &skip_metrics,
-                &step_metrics,
-                "idle-cause attribution changed under the skip: config {} width {}",
-                cfg.label(),
-                width
-            );
+            let metrics_on = RunOptions {
+                metrics: true,
+                ..RunOptions::default()
+            };
+            let (skip_res, skip_metrics) =
+                simulate_with(&prepared, &config, &metrics_on).expect("no deadline is armed");
+            let skip_metrics = skip_metrics.expect("metrics were asked for");
+            for armed in [false, true] {
+                let (step_res, step_metrics) = stepped(&prepared, &config, true, armed);
+                prop_assert_eq!(
+                    &skip_res,
+                    &step_res,
+                    "metrics-on event skip moved a bit: config {} width {} armed {}",
+                    cfg.label(),
+                    width,
+                    armed
+                );
+                prop_assert_eq!(
+                    Some(&skip_metrics),
+                    step_metrics.as_ref(),
+                    "idle-cause attribution changed under the skip: config {} width {} armed {}",
+                    cfg.label(),
+                    width,
+                    armed
+                );
+            }
             prop_assert!(skip_metrics.attribution.audit(skip_res.cycles).is_ok());
         }
     }

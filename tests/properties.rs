@@ -3,7 +3,7 @@
 //! are checked across the whole pipeline.
 
 use ddsc::core::{
-    simulate, simulate_prepared, simulate_with_metrics, PaperConfig, PreparedTrace, SimConfig,
+    simulate, simulate_prepared, simulate_with, PaperConfig, PreparedTrace, RunOptions, SimConfig,
 };
 use ddsc::isa::{OpClass, Reg};
 use ddsc::vm::{Asm, Machine, Program};
@@ -180,7 +180,13 @@ proptest! {
         for cfg in PaperConfig::ALL {
             let config = SimConfig::paper(cfg, width);
             let plain = simulate_prepared(&prepared, &config);
-            let (observed, metrics) = simulate_with_metrics(&prepared, &config);
+            let metrics_on = RunOptions {
+                metrics: true,
+                ..RunOptions::default()
+            };
+            let (observed, metrics) =
+                simulate_with(&prepared, &config, &metrics_on).expect("no deadline is armed");
+            let metrics = metrics.expect("metrics were asked for");
             prop_assert_eq!(
                 &plain,
                 &observed,

@@ -1,6 +1,6 @@
 //! Timing-loop data-structure micro-benchmarks.
 //!
-//! Three questions the 10× timing-loop rework answered empirically,
+//! Two questions the 10× timing-loop rework answered empirically,
 //! kept honest here so a regression (or a tempting revert) shows up as
 //! a number:
 //!
@@ -13,12 +13,7 @@
 //!    `next_set`/`clear` scan (the first bitset form), and the same
 //!    bitset drained with the word-wise [`RingBitSet::drain_in_order`]
 //!    pass the SoA issue loop uses now.
-//! 2. **Width monomorphisation**: the cycle loop is instantiated per
-//!    paper width so width compares fold to constants; any other width
-//!    takes the dynamic fallback. Benching a monomorphised width (8)
-//!    against its nearest dynamic neighbours (7, 9) bounds what the
-//!    dedicated instantiations buy.
-//! 3. **Event skip**: when nothing can issue, the loop jumps the cycle
+//! 2. **Event skip**: when nothing can issue, the loop jumps the cycle
 //!    counter to the wheel's next occupied bucket instead of walking
 //!    idle cycles one at a time. Benching the skipping loop against
 //!    the stepped loop (`simulate_with` under `RunOptions::step`, the
@@ -27,7 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ddsc_core::{
-    simulate, simulate_prepared, simulate_with, PaperConfig, PreparedTrace, RunOptions, SimConfig,
+    simulate_prepared, simulate_with, PaperConfig, PreparedTrace, RunOptions, SimConfig,
 };
 use ddsc_util::{Pcg32, RingBitSet};
 use ddsc_workloads::Benchmark;
@@ -163,24 +158,5 @@ fn event_skip(c: &mut Criterion) {
     group.finish();
 }
 
-fn width_monomorphisation(c: &mut Criterion) {
-    let trace = Benchmark::Li.trace(1996, LEN).expect("runs");
-    let mut group = c.benchmark_group("width_dispatch");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(LEN as u64));
-    // Width 8 hits the dedicated instantiation; 7 and 9 do the same
-    // work through the dynamic-width fallback (W = 0), bracketing the
-    // monomorphised point from both sides.
-    for width in [7u32, 8, 9] {
-        let kind = if width == 8 { "mono" } else { "dyn" };
-        group.bench_function(format!("w{width}_{kind}"), |b| {
-            b.iter(|| {
-                criterion::black_box(simulate(&trace, &SimConfig::paper(PaperConfig::D, width)))
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, ready_set, width_monomorphisation, event_skip);
+criterion_group!(benches, ready_set, event_skip);
 criterion_main!(benches);

@@ -44,11 +44,12 @@
 //! skipped by jumping the cycle counter to the wheel's next occupied
 //! bucket (`Wheel::next_event`); the ready set is a ring bit set whose
 //! word-wise ascending drain yields oldest-first issue order for free;
-//! the cycle loop is monomorphised over the paper's issue widths the
-//! same way the observer's `CANCELLABLE` const specialises
-//! cancellation; and every column's storage tracks the live window
-//! span — which is exactly what makes the streaming view's bounded
-//! memory possible.
+//! the loop is compiled once per (column view, observer) pair, with
+//! the observer's `CANCELLABLE` const specialising cancellation away
+//! and the issue width read from the config like every other machine
+//! parameter; and every column's storage tracks the live window span —
+//! which is exactly what makes the streaming view's bounded memory
+//! possible.
 
 use ddsc_collapse::{decode_slots, CollapseOpts, CollapseStats, ExprState, SlotSet};
 use ddsc_trace::Trace;
@@ -903,7 +904,7 @@ fn whole_trace_run<O: SimObserver>(
         bypass,
         values,
     };
-    match run_dispatched(&mut view, config, obs, step) {
+    match run_timing_loop(&mut view, config, obs, step) {
         Ok(r) => Ok(r),
         Err(RunError::Cancelled) => Err(Cancelled),
         Err(RunError::Fault(e)) => unreachable!("whole-trace view cannot fault: {e}"),
@@ -928,31 +929,12 @@ fn add_candidate(row: &mut Vec<(u32, SlotSet)>, p: u32, slots: SlotSet, times: u
     }
 }
 
-/// Dispatches the timing loop to a width-monomorphised instantiation.
-///
-/// The paper's grid widths get dedicated instantiations whose
-/// issue-width compares fold to constants (the loop is hot enough that
-/// this is worth the code size); any other width runs the dynamic
-/// fallback (`W = 0`), which reads the width from the config.
-pub(crate) fn run_dispatched<V: PreparedSource, O: SimObserver>(
-    view: &mut V,
-    config: &SimConfig,
-    obs: &mut O,
-    step: bool,
-) -> Result<SimResult, RunError> {
-    match config.issue_width {
-        4 => run_timing_loop::<V, O, 4>(view, config, obs, step),
-        8 => run_timing_loop::<V, O, 8>(view, config, obs, step),
-        16 => run_timing_loop::<V, O, 16>(view, config, obs, step),
-        32 => run_timing_loop::<V, O, 32>(view, config, obs, step),
-        2048 => run_timing_loop::<V, O, 2048>(view, config, obs, step),
-        _ => run_timing_loop::<V, O, 0>(view, config, obs, step),
-    }
-}
-
 /// The generic timing loop: every simulation — whole-trace or streaming,
-/// observed or not, cancellable or not, any issue width — is one
-/// instantiation of this function.
+/// observed or not, cancellable or not, at any issue width — runs this
+/// one function. It is instantiated once per (column view, observer)
+/// pair: four observers over the whole-trace view, and `NoopObserver`
+/// over the streaming view. The issue width is a plain input read from
+/// `config`.
 ///
 /// `step` disables event-driven cycle skipping: the loop then walks
 /// every idle cycle one by one instead of jumping to the next wheel
@@ -961,14 +943,13 @@ pub(crate) fn run_dispatched<V: PreparedSource, O: SimObserver>(
 /// are constant across it — which is why the two modes are bit-identical
 /// (pinned through [`RunOptions::step`] by the proptests in
 /// `tests/event_skip_identity.rs`).
-fn run_timing_loop<V: PreparedSource, O: SimObserver, const W: u32>(
+pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
     view: &mut V,
     config: &SimConfig,
     obs: &mut O,
     step: bool,
 ) -> Result<SimResult, RunError> {
-    let width = if W == 0 { config.issue_width } else { W };
-    debug_assert_eq!(width, config.issue_width);
+    let width = config.issue_width;
     let opts = CollapseOpts {
         zero_detection: config.zero_detection,
         max_members: config.max_collapse_members,

@@ -43,7 +43,7 @@ use ddsc_trace::{SourceError, TraceInst, TraceSource};
 
 use crate::metrics::NoopObserver;
 use crate::prepass::{StreamingPrepass, F_STREAM_CONSUMER};
-use crate::simulator::{run_dispatched, PreparedSource, ProducerRow, RunError};
+use crate::simulator::{run_timing_loop, PreparedSource, ProducerRow, RunError};
 use crate::validate::{TraceValidator, ValidationError};
 use crate::{BranchRunStats, SimConfig, SimResult, ValueSpecStats};
 
@@ -86,8 +86,12 @@ impl From<SourceError> for StreamError {
 
 /// The streaming column view: a [`TraceSource`] pulled chunk-by-chunk
 /// through validation into the incremental pre-pass.
-struct StreamView<'a, S: TraceSource> {
-    source: &'a mut S,
+///
+/// The source is a trait object, so the timing loop has one streaming
+/// instance whatever the source type. The source is called once per
+/// chunk (`ensure`), never per instruction.
+struct StreamView<'a> {
+    source: &'a mut dyn TraceSource,
     prep: StreamingPrepass,
     validator: TraceValidator,
     buf: Vec<TraceInst>,
@@ -95,7 +99,7 @@ struct StreamView<'a, S: TraceSource> {
     done: bool,
 }
 
-impl<S: TraceSource> PreparedSource for StreamView<'_, S> {
+impl PreparedSource for StreamView<'_> {
     fn ensure(&mut self, i: usize) -> Result<bool, StreamError> {
         while i >= self.prep.len() {
             if self.done {
@@ -204,8 +208,8 @@ impl<S: TraceSource> PreparedSource for StreamView<'_, S> {
 /// [`StreamError::Source`] when the producer fails, and
 /// [`StreamError::Validation`] when a pulled chunk is structurally
 /// invalid.
-pub fn simulate_stream<S: TraceSource>(
-    source: &mut S,
+pub fn simulate_stream(
+    source: &mut dyn TraceSource,
     config: &SimConfig,
     chunk_size: usize,
 ) -> Result<SimResult, StreamError> {
@@ -222,7 +226,7 @@ pub fn simulate_stream<S: TraceSource>(
         chunk: chunk_size.max(1),
         done: false,
     };
-    match run_dispatched(&mut view, config, &mut NoopObserver, false) {
+    match run_timing_loop(&mut view, config, &mut NoopObserver, false) {
         Ok(r) => Ok(r),
         Err(RunError::Fault(e)) => Err(e),
         Err(RunError::Cancelled) => unreachable!("NoopObserver cannot cancel"),

@@ -39,7 +39,8 @@ pub struct LoadtestConfig {
     /// Concurrent closed-loop client threads.
     pub clients: usize,
     /// Fraction of requests (after the first) that repeat an earlier
-    /// request, exercising coalescing and the result cache.
+    /// request, exercising coalescing and the result cache. Must lie in
+    /// [0, 1].
     pub dup_ratio: f64,
     /// Trace length for every generated cell.
     pub trace_len: u64,
@@ -130,7 +131,7 @@ fn build_plan(cfg: &LoadtestConfig) -> Vec<(SubmitRequest, bool)> {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let dup_permille = (cfg.dup_ratio.clamp(0.0, 1.0) * 1000.0).round() as u32;
+    let dup_permille = (cfg.dup_ratio * 1000.0).round() as u32;
 
     let mut plan: Vec<(SubmitRequest, bool)> = Vec::with_capacity(cfg.requests);
     let mut next_unique = 0usize;
@@ -201,9 +202,13 @@ fn drive_client(
 ///
 /// # Errors
 ///
-/// Returns connection errors, protocol violations, or a publish
-/// failure.
+/// Refuses a `dup_ratio` outside [0, 1] (NaN included) before any
+/// connection; otherwise returns connection errors, protocol
+/// violations, or a publish failure.
 pub fn run_loadtest(cfg: &LoadtestConfig) -> Result<LoadtestReport, Box<dyn std::error::Error>> {
+    if !(0.0..=1.0).contains(&cfg.dup_ratio) {
+        return Err(format!("dup ratio must lie in [0, 1], got {}", cfg.dup_ratio).into());
+    }
     let plan = build_plan(cfg);
     let duplicates = plan.iter().filter(|(_, dup)| *dup).count() as u64;
     let unique_cells = plan
@@ -459,6 +464,30 @@ mod tests {
             .map(|(r, _)| request_digest(&r.bench, &r.config, r.width, r.trace_len, r.seed))
             .collect();
         assert_eq!(digests.len(), 200, "all cells distinct");
+    }
+
+    #[test]
+    fn an_out_of_range_dup_ratio_is_refused_before_connecting() {
+        // A port nothing listens on: a run that got as far as
+        // connecting would fail there, with another error.
+        let addr = {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            listener.local_addr().expect("local addr").to_string()
+        };
+        for ratio in [f64::NAN, -0.1, 1.5] {
+            let cfg = LoadtestConfig {
+                addr: addr.clone(),
+                requests: 4,
+                clients: 1,
+                dup_ratio: ratio,
+                ..LoadtestConfig::default()
+            };
+            let err = run_loadtest(&cfg).expect_err("refused");
+            assert_eq!(
+                err.to_string(),
+                format!("dup ratio must lie in [0, 1], got {ratio}")
+            );
+        }
     }
 
     #[test]

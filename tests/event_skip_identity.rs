@@ -116,16 +116,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Cycle-skipping ≡ stepped ≡ frozen reference, across every paper
-    /// configuration and a spread of issue widths. Narrow widths on
-    /// multiply-heavy code maximise idle gaps — the spans the skip
-    /// actually jumps.
+    /// configuration and any issue width from 1 to 40, odd ones
+    /// included. Narrow widths on multiply-heavy code maximise idle
+    /// gaps — the spans the skip actually jumps.
     #[test]
     fn event_skip_matches_stepped_loop_and_reference(
         steps in proptest::collection::vec(step_strategy(), 1..16),
         iters in 1i32..30,
-        width_pow in 1u32..6,
+        width in 1u32..41,
     ) {
-        let width = 1 << width_pow;
         let program = build_program(&steps, iters);
         let mut machine = Machine::new(program);
         let trace = machine.run_trace("prop-skip", 100_000).expect("no faults");
@@ -162,9 +161,8 @@ proptest! {
     fn event_skip_preserves_idle_cause_attribution(
         steps in proptest::collection::vec(step_strategy(), 1..16),
         iters in 1i32..30,
-        width_pow in 1u32..6,
+        width in 1u32..41,
     ) {
-        let width = 1 << width_pow;
         let program = build_program(&steps, iters);
         let mut machine = Machine::new(program);
         let trace = machine.run_trace("prop-skip-metrics", 100_000).expect("no faults");

@@ -223,16 +223,16 @@ proptest! {
     }
 
     /// The prepared pipeline is bit-identical to the frozen reference on
-    /// random traces under random paper configurations.
+    /// random traces under random paper configurations and issue widths.
     #[test]
     fn prepared_matches_reference_on_random_traces(
         seed in 0u64..1_000_000,
         len in 1u32..800,
         cfg_ix in 0usize..5,
-        width_pow in 2u32..6,
+        width in 1u32..41,
     ) {
         let trace = random_trace(seed, len);
-        let config = SimConfig::paper(PaperConfig::ALL[cfg_ix], 1 << width_pow);
+        let config = SimConfig::paper(PaperConfig::ALL[cfg_ix], width);
         let prepared = PreparedTrace::build(&trace);
         prop_assert_eq!(
             simulate_prepared(&prepared, &config),

@@ -136,9 +136,8 @@ proptest! {
     fn simulation_bounds_hold(
         steps in proptest::collection::vec(step_strategy(), 1..16),
         iters in 1i32..30,
-        width_pow in 2u32..6,
+        width in 1u32..41,
     ) {
-        let width = 1 << width_pow;
         let program = build_program(&steps, iters);
         let mut machine = Machine::new(program);
         let trace = machine.run_trace("prop", 100_000).expect("no faults");
@@ -170,9 +169,8 @@ proptest! {
     fn metrics_balance_and_never_perturb_the_simulation(
         steps in proptest::collection::vec(step_strategy(), 1..16),
         iters in 1i32..30,
-        width_pow in 2u32..6,
+        width in 1u32..41,
     ) {
-        let width = 1 << width_pow;
         let program = build_program(&steps, iters);
         let mut machine = Machine::new(program);
         let trace = machine.run_trace("prop-metrics", 100_000).expect("no faults");

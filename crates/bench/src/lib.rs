@@ -1,8 +1,11 @@
 //! Shared helpers for the Criterion benchmark harness.
 //!
-//! Each bench target regenerates one paper artifact (see `benches/`);
-//! the helpers here build appropriately-sized labs so Criterion timing
-//! stays reasonable while the printed rows remain representative.
+//! The `paper_artifacts` target regenerates every paper artifact,
+//! `table1_traces` and `table2_branch` time the trace generation and
+//! branch statistics behind Tables 1 and 2, and the rest time the
+//! engine's layers (see `benches/`). The helpers here build
+//! appropriately-sized labs so Criterion timing stays reasonable while
+//! the printed rows remain representative.
 
 use ddsc_experiments::{Lab, SuiteConfig};
 

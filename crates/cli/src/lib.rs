@@ -869,29 +869,7 @@ fn coordinator_cmd(args: &[&str]) -> Result<RunOutput, Box<dyn Error>> {
 /// reconnect budget; both exit 0, so supervising scripts only see a
 /// failure when the worker itself breaks).
 fn worker_cmd(args: &[&str]) -> Result<String, Box<dyn Error>> {
-    let connect = match (
-        flag_value(args, "--connect"),
-        flag_value(args, "--connect-file"),
-    ) {
-        (Some(addr), None) => addr.to_string(),
-        (None, Some(path)) => {
-            // The coordinator publishes its bound address atomically;
-            // poll until it appears so workers can be started first.
-            let deadline = std::time::Instant::now() + Duration::from_secs(30);
-            loop {
-                match std::fs::read_to_string(path) {
-                    Ok(s) if !s.trim().is_empty() => break s.trim().to_string(),
-                    _ if std::time::Instant::now() > deadline => {
-                        return Err(format!("no coordinator address in {path} after 30 s").into());
-                    }
-                    _ => std::thread::sleep(Duration::from_millis(20)),
-                }
-            }
-        }
-        _ => {
-            return Err("worker needs exactly one of --connect ADDR or --connect-file FILE".into())
-        }
-    };
+    let connect = address_flag(args, "worker", "--connect", "coordinator")?;
     let mut opts = WorkerOptions::new(connect);
     if let Some(ms) = flag_value(args, "--heartbeat-ms") {
         opts.heartbeat_every = Duration::from_millis(ms.parse()?);
@@ -915,6 +893,35 @@ fn worker_cmd(args: &[&str]) -> Result<String, Box<dyn Error>> {
             " (coordinator gone)"
         }
     ))
+}
+
+/// The address `cmd` was given as `FLAG ADDR`, or as `FLAG-file FILE`:
+/// a file the coordinator (or a proxy) publishes its bound address to
+/// atomically. The file is polled for up to 30 s, so the reader can be
+/// started first; `what` names the address in the timeout error.
+fn address_flag(
+    args: &[&str],
+    cmd: &str,
+    flag: &str,
+    what: &str,
+) -> Result<String, Box<dyn Error>> {
+    let file_flag = format!("{flag}-file");
+    match (flag_value(args, flag), flag_value(args, &file_flag)) {
+        (Some(addr), None) => Ok(addr.to_string()),
+        (None, Some(path)) => {
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            loop {
+                match std::fs::read_to_string(path) {
+                    Ok(s) if !s.trim().is_empty() => return Ok(s.trim().to_string()),
+                    _ if std::time::Instant::now() > deadline => {
+                        return Err(format!("no {what} address in {path} after 30 s").into());
+                    }
+                    _ => std::thread::sleep(Duration::from_millis(20)),
+                }
+            }
+        }
+        _ => Err(format!("{cmd} needs exactly one of {flag} ADDR or {file_flag} FILE").into()),
+    }
 }
 
 /// `ddsc chaosproxy` — a deterministic network-chaos proxy for
@@ -959,31 +966,7 @@ fn chaosproxy_cmd(args: &[&str]) -> Result<String, Box<dyn Error>> {
         return Ok(out);
     }
 
-    let upstream = match (
-        flag_value(args, "--upstream"),
-        flag_value(args, "--upstream-file"),
-    ) {
-        (Some(addr), None) => addr.to_string(),
-        (None, Some(path)) => {
-            // The coordinator publishes its address atomically; poll so
-            // the proxy can be started before (or alongside) it.
-            let deadline = std::time::Instant::now() + Duration::from_secs(30);
-            loop {
-                match std::fs::read_to_string(path) {
-                    Ok(s) if !s.trim().is_empty() => break s.trim().to_string(),
-                    _ if std::time::Instant::now() > deadline => {
-                        return Err(format!("no upstream address in {path} after 30 s").into());
-                    }
-                    _ => std::thread::sleep(Duration::from_millis(20)),
-                }
-            }
-        }
-        _ => {
-            return Err(
-                "chaosproxy needs exactly one of --upstream ADDR or --upstream-file FILE".into(),
-            )
-        }
-    };
+    let upstream = address_flag(args, "chaosproxy", "--upstream", "upstream")?;
     let listen = flag_value(args, "--listen").unwrap_or("127.0.0.1:0");
     let proxy = ddsc_dist::ChaosProxy::bind(listen, upstream, opts)?;
     let addr = proxy.local_addr();
@@ -1266,6 +1249,25 @@ mod tests {
         assert!(run_strs(&["bogus"]).is_err());
         assert!(run_strs(&["sim", "nope"]).is_err());
         assert!(run_strs(&["repro", "fig99", "--len", "500", "--no-trace-cache"]).is_err());
+    }
+
+    #[test]
+    fn worker_and_chaosproxy_read_an_address_one_way() {
+        let err = |args: &[&str]| run_strs(args).unwrap_err().to_string();
+        assert_eq!(
+            err(&["worker"]),
+            "worker needs exactly one of --connect ADDR or --connect-file FILE"
+        );
+        assert_eq!(
+            err(&["chaosproxy", "--upstream", "a:1", "--upstream-file", "f"]),
+            "chaosproxy needs exactly one of --upstream ADDR or --upstream-file FILE"
+        );
+        let path = std::env::temp_dir().join(format!("ddsc-cli-addr-{}", std::process::id()));
+        std::fs::write(&path, "127.0.0.1:7\n").unwrap();
+        let args = ["--connect-file", path.to_str().unwrap()];
+        let addr = address_flag(&args, "worker", "--connect", "coordinator").unwrap();
+        assert_eq!(addr, "127.0.0.1:7");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

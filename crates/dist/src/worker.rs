@@ -19,22 +19,20 @@
 //!   while the main thread computes, so a long cell does not read as a
 //!   dead worker.
 //!
-//! The prepared trace (the expensive shared pre-pass) is memoized per
-//! `(benchmark, seed, length)` across cells and reconnects — the same
-//! amortization [`ddsc_experiments`]'s lab does per process, and the
-//! reason a small worker fleet scales near-linearly on the paper grid.
+//! The worker keeps one [`CellRunner`] for its whole life, so the
+//! prepared traces (the expensive shared pre-pass) in the runner's cache
+//! outlive cells and reconnects — the same amortization the lab gets
+//! from its runner, and the reason a small worker fleet scales
+//! near-linearly on the paper grid.
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::io::{self, BufReader, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ddsc_core::PreparedTrace;
 use ddsc_experiments::CellRunner;
 use ddsc_util::Backoff;
-use ddsc_workloads::Benchmark;
 
 use crate::proto::{read_coord_msg, write_worker_msg, CellSpec, CoordMsg, WorkerMsg};
 
@@ -85,9 +83,6 @@ enum SessionEnd {
     Lost,
 }
 
-/// Prepared benchmark traces, memoized per `(bench, seed, len)`.
-type PrepCache = HashMap<(Benchmark, u64, u64), Arc<PreparedTrace>>;
-
 /// Runs a worker until the coordinator reports the grid complete (or
 /// stays unreachable through the whole backoff schedule — also a clean
 /// exit: the coordinator owns run state, a worker holds none).
@@ -98,7 +93,7 @@ pub fn run_worker(opts: &WorkerOptions) -> io::Result<WorkerSummary> {
         failed: 0,
         all_done: false,
     };
-    let mut cache: PrepCache = HashMap::new();
+    let runner = CellRunner::default();
     // Sessions that die before a `Welcome` arrives count against the
     // reconnect budget too: behind a proxy (or any forwarder) the
     // TCP connect can keep succeeding while the coordinator behind it
@@ -166,13 +161,7 @@ pub fn run_worker(opts: &WorkerOptions) -> io::Result<WorkerSummary> {
             })
         };
 
-        let end = session(
-            &mut reader,
-            &writer,
-            &mut summary,
-            &mut cache,
-            opts.byzantine,
-        );
+        let end = session(&mut reader, &writer, &mut summary, &runner, opts.byzantine);
         stop.store(true, Ordering::SeqCst);
         let _ = beat.join();
         match end {
@@ -211,7 +200,7 @@ fn session(
     reader: &mut BufReader<TcpStream>,
     writer: &Mutex<TcpStream>,
     summary: &mut WorkerSummary,
-    cache: &mut PrepCache,
+    runner: &CellRunner,
     byzantine: bool,
 ) -> SessionEnd {
     let worker_id = summary.worker_id;
@@ -225,7 +214,7 @@ fn session(
                 std::thread::sleep(Duration::from_millis(u64::from(wait_ms).min(1000)));
             }
             Ok(Some(CoordMsg::Assign(spec))) => {
-                let report = match compute_with(&spec, cache, byzantine) {
+                let report = match compute_with(&spec, runner, byzantine) {
                     Ok((body, seconds)) => {
                         summary.completed += 1;
                         WorkerMsg::Result {
@@ -268,7 +257,7 @@ fn session(
 /// opinion can expose it.
 fn compute_with(
     spec: &CellSpec,
-    cache: &mut PrepCache,
+    runner: &CellRunner,
     byzantine: bool,
 ) -> Result<(Vec<u8>, f64), String> {
     let key = spec.key()?;
@@ -284,11 +273,8 @@ fn compute_with(
         ));
     }
     let t0 = Instant::now();
-    let run = CellRunner::default()
-        .run(&key, || match cache.entry(key.trace()) {
-            Entry::Occupied(hit) => Ok(Arc::clone(hit.get())),
-            Entry::Vacant(miss) => Ok(Arc::clone(miss.insert(key.prepare()?))),
-        })
+    let run = runner
+        .run(&key, || key.prepare())
         .map_err(|e| e.to_string())?;
     let mut result = run.result;
     if byzantine {
@@ -306,8 +292,9 @@ fn compute_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddsc_core::{simulate_prepared, PaperConfig};
+    use ddsc_core::{simulate_prepared, PaperConfig, PreparedTrace};
     use ddsc_experiments::CellKey;
+    use ddsc_workloads::Benchmark;
 
     fn spec_for(bench: &str, config: &str, width: u32, len: u64) -> CellSpec {
         CellSpec::from(&CellKey::parse(bench, config, width, 1996, len).unwrap())
@@ -316,8 +303,8 @@ mod tests {
     #[test]
     fn compute_produces_canonical_bytes_matching_local_simulation() {
         let spec = spec_for("compress", "D", 4, 2000);
-        let mut cache = PrepCache::new();
-        let (body, seconds) = compute_with(&spec, &mut cache, false).expect("cell computes");
+        let runner = CellRunner::default();
+        let (body, seconds) = compute_with(&spec, &runner, false).expect("cell computes");
         assert!(seconds >= 0.0);
         let trace = Benchmark::Compress.trace(1996, 2000).unwrap();
         let prepared = PreparedTrace::build(&trace);
@@ -334,9 +321,9 @@ mod tests {
     #[test]
     fn byzantine_bytes_validate_but_differ_from_honest_bytes() {
         let spec = spec_for("compress", "D", 4, 2000);
-        let mut cache = PrepCache::new();
-        let (honest, _) = compute_with(&spec, &mut cache, false).expect("honest computes");
-        let (lie, _) = compute_with(&spec, &mut cache, true).expect("byzantine computes");
+        let runner = CellRunner::default();
+        let (honest, _) = compute_with(&spec, &runner, false).expect("honest computes");
+        let (lie, _) = compute_with(&spec, &runner, true).expect("byzantine computes");
         assert_ne!(honest, lie, "perturbation must change the bytes");
         // The lie is well-formed: it decodes and passes every structural
         // check the coordinator applies — only a second opinion differs.
@@ -346,7 +333,7 @@ mod tests {
         assert_eq!(lie_r.instructions, honest_r.instructions);
         // And it is stable: a byzantine worker re-asked for the same
         // cell confirms its own earlier lie.
-        let (lie2, _) = compute_with(&spec, &mut cache, true).unwrap();
+        let (lie2, _) = compute_with(&spec, &runner, true).unwrap();
         assert_eq!(lie, lie2);
     }
 
@@ -354,23 +341,31 @@ mod tests {
     fn digest_mismatch_is_refused_before_simulation() {
         let mut spec = spec_for("compress", "A", 4, 2000);
         spec.digest ^= 1;
-        let mut cache = PrepCache::new();
-        let err = compute_with(&spec, &mut cache, false).unwrap_err();
+        let runner = CellRunner::default();
+        let err = compute_with(&spec, &runner, false).unwrap_err();
         assert!(err.contains("digest mismatch"), "{err}");
-        assert!(cache.is_empty(), "no trace was generated");
+        let key = spec.key().unwrap();
+        let mut built = false;
+        runner
+            .prepared(key.trace(), || {
+                built = true;
+                key.prepare()
+            })
+            .unwrap();
+        assert!(built, "no trace was generated");
     }
 
     #[test]
     fn unknown_inputs_are_clean_failures() {
-        let mut cache = PrepCache::new();
+        let runner = CellRunner::default();
         let mut spec = spec_for("compress", "A", 4, 1000);
         spec.bench = "nope".into();
-        assert!(compute_with(&spec, &mut cache, false)
+        assert!(compute_with(&spec, &runner, false)
             .unwrap_err()
             .contains("unknown benchmark"));
         let mut spec = spec_for("compress", "A", 4, 1000);
         spec.config = "Z".into();
-        assert!(compute_with(&spec, &mut cache, false)
+        assert!(compute_with(&spec, &runner, false)
             .unwrap_err()
             .contains("unknown config"));
     }
@@ -379,8 +374,8 @@ mod tests {
     fn a_width_0_spec_is_a_reported_failure_not_a_panic() {
         let mut spec = spec_for("compress", "A", 4, 1000);
         spec.width = 0;
-        let mut cache = PrepCache::new();
-        let err = compute_with(&spec, &mut cache, false).unwrap_err();
+        let runner = CellRunner::default();
+        let err = compute_with(&spec, &runner, false).unwrap_err();
         assert!(err.contains("issue width 0"), "{err}");
     }
 }

@@ -6,11 +6,13 @@
 //! bytes or the model, so every committed change that moves a simulated
 //! result must bump [`MODEL_VERSION`]: the `model_fingerprint` test
 //! fails until it is bumped and [`MODEL_FINGERPRINT`] re-pinned.
-//! [`CellRunner`] executes a cell; the prepared trace is the caller's.
+//! [`CellRunner`] executes a cell over a prepared trace from its one
+//! cache, which holds the six most recently used traces.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ddsc_core::{
@@ -36,6 +38,14 @@ pub const MODEL_FINGERPRINT: u64 = 0x1626_f169_da5d_db81;
 
 /// One cell of the experiment grid: benchmark, configuration, width.
 pub type Cell = (Benchmark, PaperConfig, u32);
+
+/// The trace a cell simulates, [`CellKey::trace`]: benchmark, seed,
+/// length.
+pub type TraceId = (Benchmark, u64, u64);
+
+/// Prepared traces a [`CellRunner`] keeps: one paper grid, one trace
+/// per benchmark, so a lab or a dist worker never evicts.
+const PREPARED_TRACES: usize = 6;
 
 /// Resolves a benchmark short name (`compress`, `li`, ...).
 pub fn parse_benchmark(name: &str) -> Result<Benchmark, String> {
@@ -90,7 +100,7 @@ impl CellKey {
     }
 
     /// The trace the cell simulates: benchmark, seed, length.
-    pub fn trace(&self) -> (Benchmark, u64, u64) {
+    pub fn trace(&self) -> TraceId {
         (self.cell.0, self.seed, self.len)
     }
 
@@ -100,11 +110,11 @@ impl CellKey {
     }
 
     /// Generates the cell's trace and builds its analysis pre-pass.
-    pub fn prepare(&self) -> Result<Arc<PreparedTrace>, String> {
+    pub fn prepare(&self) -> Result<PreparedTrace, String> {
         let trace = (self.cell.0)
             .trace(self.seed, self.len as usize)
             .map_err(|e| format!("trace generation failed: {e}"))?;
-        Ok(Arc::new(PreparedTrace::build(&trace)))
+        Ok(PreparedTrace::build(&trace))
     }
 
     /// The cell's digest under the current [`MODEL_VERSION`].
@@ -221,8 +231,16 @@ pub struct CellRun {
     pub seconds: f64,
 }
 
-/// Executes cells: one [`simulate_with`] call per cell, panic
-/// containment and, when supervised, the journal and cell-store writes.
+/// A single-flight build of one prepared trace: concurrent cells on the
+/// trace block on the `OnceLock` until its one builder finishes. A
+/// failed generation is kept like a built trace, since it is
+/// deterministic; a panicking build leaves the slot empty for the next
+/// cell to build.
+type PreparedSlot = Arc<OnceLock<Result<Arc<PreparedTrace>, String>>>;
+
+/// Executes cells: one [`simulate_with`] call per cell over a prepared
+/// trace from the runner's cache, panic containment and, when
+/// supervised, the journal and cell-store writes.
 #[derive(Debug, Default)]
 pub struct CellRunner {
     /// Cancels a simulation still running this long after it started.
@@ -233,17 +251,26 @@ pub struct CellRunner {
     /// The journal every cell transition is appended to and the store
     /// finished results are saved in, under [`CellKey::digest`].
     pub supervision: Option<(Arc<Journal>, CellStore)>,
+    /// Cells forced to panic inside the containment, whether or not
+    /// their trace is cached: the deterministic fault hook that
+    /// degraded-mode tests and `repro --inject-fault` use.
+    pub(crate) faults: HashSet<Cell>,
+    /// The one prepared-trace cache, least recently used first, at most
+    /// [`PREPARED_TRACES`] long. Its lock is never held across a build.
+    prepared: Mutex<Vec<(TraceId, PreparedSlot)>>,
 }
 
 impl CellRunner {
-    /// Journals `CellStarted`, simulates `key` over the trace `prepare`
-    /// returns (inside the panic containment), then records the result
-    /// with [`CellRunner::install`]. A failure is returned unjournaled:
-    /// the caller words it and records it with [`CellRunner::fail`].
+    /// Journals `CellStarted`, simulates `key` over its prepared trace
+    /// (inside the panic containment), then records the result with
+    /// [`CellRunner::install`]. The trace comes from
+    /// [`CellRunner::prepared`]; `build` makes it on a miss. A failure
+    /// is returned unjournaled: the caller words it and records it with
+    /// [`CellRunner::fail`].
     pub fn run(
         &self,
         key: &CellKey,
-        prepare: impl FnOnce() -> Result<Arc<PreparedTrace>, String>,
+        build: impl FnOnce() -> Result<PreparedTrace, String>,
     ) -> Result<CellRun, CellError> {
         let (b, c, width) = key.cell();
         self.append(|| JournalRecord::CellStarted {
@@ -252,7 +279,16 @@ impl CellRunner {
             width,
         });
         let run = catch_unwind(AssertUnwindSafe(|| {
-            let prepared = prepare().map_err(CellError::Input)?;
+            if self.faults.contains(&key.cell()) {
+                panic!(
+                    "injected fault: cell ({}, config {}, width {width})",
+                    b.models(),
+                    c.label()
+                );
+            }
+            let prepared = self
+                .prepared(key.trace(), build)
+                .map_err(CellError::Input)?;
             let config = key.sim_config();
             let t0 = Instant::now();
             let options = RunOptions {
@@ -274,6 +310,30 @@ impl CellRunner {
         .unwrap_or_else(|payload| Err(CellError::Panicked(render_panic(payload.as_ref()))))?;
         self.install(key, &run.result);
         Ok(run)
+    }
+
+    /// The prepared trace of `trace`, shared by every cell on it. On a
+    /// miss `build` makes it once, however many cells ask at the same
+    /// time, and the least recently used of the six cached traces is
+    /// evicted to make room.
+    pub fn prepared(
+        &self,
+        trace: TraceId,
+        build: impl FnOnce() -> Result<PreparedTrace, String>,
+    ) -> Result<Arc<PreparedTrace>, String> {
+        let slot = {
+            let mut slots = self.prepared.lock().expect("prepared-trace cache poisoned");
+            let slot = match slots.iter().position(|(id, _)| *id == trace) {
+                Some(i) => slots.remove(i).1,
+                None => PreparedSlot::default(),
+            };
+            if slots.len() == PREPARED_TRACES {
+                slots.remove(0);
+            }
+            slots.push((trace, Arc::clone(&slot)));
+            slot
+        };
+        slot.get_or_init(|| build().map(Arc::new)).clone()
     }
 
     /// Saves a finished result to the store, then journals
@@ -324,6 +384,8 @@ mod tests {
     use super::*;
     use ddsc_core::{simulate_prepared, LoadSpecMode, ValueSpecMode};
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn model_fingerprint() {
@@ -361,23 +423,104 @@ mod tests {
     #[test]
     fn failures_are_typed_and_contained() {
         let key = CellKey::parse("li", "A", 4, 1996, 300_000).unwrap();
-        let runner = CellRunner::default();
-        let e = runner.run(&key, || Err("no trace".into())).unwrap_err();
+        let e = CellRunner::default()
+            .run(&key, || Err("no trace".into()))
+            .unwrap_err();
         assert_eq!(e, CellError::Input("no trace".into()));
-        let e = runner.run(&key, || panic!("boom")).unwrap_err();
+        let e = CellRunner::default()
+            .run(&key, || panic!("boom"))
+            .unwrap_err();
         assert_eq!(e, CellError::Panicked("boom".into()));
         assert_eq!(e.to_string(), "cell panicked: boom");
-        let prepared = key.prepare().unwrap();
         let runner = CellRunner {
             deadline: Some(Duration::ZERO),
             ..CellRunner::default()
         };
-        let e = runner.run(&key, || Ok(prepared)).unwrap_err();
+        let e = runner.run(&key, || key.prepare()).unwrap_err();
         assert_eq!(e, CellError::TimedOut(Duration::ZERO));
         assert_eq!(
             e.to_string(),
             "cell timed out: exceeded the 0.000 s deadline"
         );
+    }
+
+    /// A prepared trace of `len` instructions of li at `seed` that
+    /// counts its builds in `builds`.
+    fn counted_build(
+        builds: &AtomicUsize,
+        seed: u64,
+        len: u64,
+    ) -> impl FnOnce() -> Result<PreparedTrace, String> + '_ {
+        move || {
+            builds.fetch_add(1, Ordering::SeqCst);
+            CellKey::new((Benchmark::Li, PaperConfig::A, 4), seed, len)?.prepare()
+        }
+    }
+
+    #[test]
+    fn concurrent_cells_on_one_trace_build_it_once_and_share_it() {
+        let runner = CellRunner::default();
+        let builds = AtomicUsize::new(0);
+        let start = Barrier::new(8);
+        let trace = (Benchmark::Li, 1996, 20_000);
+        let shared: Vec<Arc<PreparedTrace>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        runner
+                            .prepared(trace, counted_build(&builds, 1996, 20_000))
+                            .unwrap()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert!(shared.iter().all(|p| Arc::ptr_eq(p, &shared[0])));
+    }
+
+    #[test]
+    fn a_seventh_trace_evicts_the_least_recently_used() {
+        let runner = CellRunner::default();
+        let builds = AtomicUsize::new(0);
+        let get = |seed: u64| {
+            let trace = (Benchmark::Li, seed, 100);
+            runner
+                .prepared(trace, counted_build(&builds, seed, 100))
+                .unwrap();
+            builds.load(Ordering::SeqCst)
+        };
+        for _ in 0..3 {
+            for seed in 0..6 {
+                get(seed);
+            }
+        }
+        assert_eq!(get(0), 6, "cycling through six traces never rebuilds");
+        // Seed 1 is now the least recently used: a seventh trace evicts it.
+        assert_eq!(get(6), 7);
+        assert_eq!(runner.prepared.lock().unwrap().len(), PREPARED_TRACES);
+        for seed in [0, 2, 3, 4, 5, 6] {
+            assert_eq!(get(seed), 7, "seed {seed} stayed cached");
+        }
+        assert_eq!(get(1), 8, "the evicted trace is built again");
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_cache_usable() {
+        let runner = CellRunner::default();
+        let key = CellKey::parse("li", "A", 4, 1996, 2_000).unwrap();
+        let e = runner.run(&key, || panic!("build broke")).unwrap_err();
+        assert_eq!(e, CellError::Panicked("build broke".into()));
+        let builds = AtomicUsize::new(0);
+        runner
+            .run(&key, counted_build(&builds, 1996, 2_000))
+            .expect("the next cell on the trace builds it");
+        let other = CellKey::parse("li", "D", 8, 1996, 2_000).unwrap();
+        runner
+            .run(&other, counted_build(&builds, 1996, 2_000))
+            .unwrap();
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
     }
 
     /// A copy of `config` with exactly one field changed; `field`

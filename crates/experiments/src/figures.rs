@@ -2,7 +2,7 @@
 
 use ddsc_collapse::CollapseCategory;
 use ddsc_core::PaperConfig;
-use ddsc_util::stats::harmonic_mean;
+use ddsc_util::stats::{harmonic_mean, Percent};
 use ddsc_util::TextTable;
 use ddsc_workloads::Benchmark;
 
@@ -171,7 +171,7 @@ pub fn fig8(lab: &Lab) -> CollapsedFraction {
                 collapsed += r.collapse.collapsed_insts();
                 total += r.instructions;
             }
-            (w, 100.0 * collapsed as f64 / total as f64)
+            (w, Percent::new(collapsed, total).value())
         })
         .collect();
     CollapsedFraction { points }

@@ -6,13 +6,15 @@
 //! entry point [`Lab::prewarm`] fans a cell grid out over a thread pool
 //! so figures and tables consume already-computed results.
 //!
-//! The lab also owns the per-benchmark **analysis pre-pass**: the first
-//! cell that touches a benchmark builds its [`PreparedTrace`] (dependence
-//! edges, predictor verdict streams, collapse eligibility — everything a
-//! configuration sweep would otherwise recompute per cell) exactly once
-//! behind a `OnceLock`, and every subsequent cell for that benchmark
-//! reuses it through [`Lab::prepared`]. A full grid pays the pre-pass
-//! six times (once per benchmark) instead of once per cell.
+//! The per-benchmark **analysis pre-pass** lives in the lab's
+//! [`CellRunner`]'s prepared-trace cache: the first cell that touches a
+//! benchmark builds its [`PreparedTrace`] (dependence edges, predictor
+//! verdict streams, collapse eligibility — everything a configuration
+//! sweep would otherwise recompute per cell) from the suite's trace
+//! exactly once, and every later cell for that benchmark reuses it, as
+//! does [`Lab::prepared`]. The cache holds six traces, one per
+//! benchmark, so a full grid pays the pre-pass six times instead of
+//! once per cell.
 //!
 //! Determinism guarantee: `simulate` is a pure function of
 //! `(trace, config)`, the prepared path is bit-identical to it (asserted
@@ -26,7 +28,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use ddsc_core::{
@@ -367,23 +369,16 @@ pub struct Lab {
     suite: Suite,
     cache: RwLock<HashMap<Cell, Arc<SimResult>>>,
     /// Executes every cell: deadline, metrics observer (whose
-    /// [`SimMetrics`] are cached alongside the result), supervision.
+    /// [`SimMetrics`] are cached alongside the result), injected
+    /// faults, supervision, and the prepared traces cells share.
     runner: CellRunner,
     metrics: RwLock<HashMap<Cell, Arc<SimMetrics>>>,
-    /// One lazily-built analysis pre-pass per benchmark, shared by every
-    /// cell that simulates that benchmark.
-    prepared: HashMap<Benchmark, OnceLock<Arc<PreparedTrace>>>,
-    /// Wall-clock seconds each executed pre-pass took, keyed like
-    /// `prepared`.
+    /// Wall-clock seconds each executed pre-pass took, per benchmark.
     prepass_timings: Mutex<Vec<(Benchmark, f64)>>,
     timings: Mutex<Vec<CellTiming>>,
     /// Wall-clock seconds spent inside `prewarm` fan-outs (the parallel
     /// path) — the numerator of the speedup-vs-serial estimate.
     prewarm_wall: Mutex<f64>,
-    /// Cells forced to panic inside `run_cell` — the deterministic
-    /// fault hook that degraded-mode tests and `repro --inject-fault`
-    /// are written against.
-    injected_faults: HashSet<Cell>,
     /// Cells whose simulation failed during a degraded prewarm, with
     /// their rendered failure messages. Lookups of a recorded cell fail
     /// fast with the same message instead of re-running the simulation.
@@ -408,17 +403,14 @@ impl Lab {
 
     /// Wraps an existing suite.
     pub fn from_suite(suite: Suite) -> Lab {
-        let prepared = suite.iter().map(|(b, _)| (b, OnceLock::new())).collect();
         Lab {
             suite,
             cache: RwLock::new(HashMap::new()),
             runner: CellRunner::default(),
             metrics: RwLock::new(HashMap::new()),
-            prepared,
             prepass_timings: Mutex::new(Vec::new()),
             timings: Mutex::new(Vec::new()),
             prewarm_wall: Mutex::new(0.0),
-            injected_faults: HashSet::new(),
             failed: RwLock::new(HashMap::new()),
             abort_after: None,
             completed: AtomicUsize::new(0),
@@ -432,7 +424,7 @@ impl Lab {
     /// tests and `repro --inject-fault` use. May be called repeatedly
     /// to arm several cells.
     pub fn with_injected_fault(mut self, cell: Cell) -> Lab {
-        self.injected_faults.insert(cell);
+        self.runner.faults.insert(cell);
         self
     }
 
@@ -488,21 +480,27 @@ impl Lab {
         self.runner.metrics
     }
 
-    /// The analysis pre-pass of one benchmark, built on first use and
-    /// shared across every configuration cell afterwards. Racing callers
-    /// block on the `OnceLock` until the single builder finishes, so the
-    /// pre-pass runs exactly once per benchmark per lab.
+    /// The analysis pre-pass of one benchmark from the runner's
+    /// prepared-trace cache, the one every cell on the benchmark uses.
+    /// Racing callers wait for the single builder, so the pre-pass runs
+    /// exactly once per benchmark per lab.
     pub fn prepared(&self, b: Benchmark) -> Arc<PreparedTrace> {
-        let slot = self.prepared.get(&b).expect("suite has all benchmarks");
-        Arc::clone(slot.get_or_init(|| {
-            let t0 = Instant::now();
-            let p = Arc::new(PreparedTrace::build(self.suite.trace(b)));
-            self.prepass_timings
-                .lock()
-                .expect("lab prepass timings poisoned")
-                .push((b, t0.elapsed().as_secs_f64()));
-            p
-        }))
+        let sc = self.suite.config();
+        self.runner
+            .prepared((b, sc.seed, sc.trace_len as u64), || Ok(self.prepass(b)))
+            .expect("a suite trace always prepares")
+    }
+
+    /// Builds one benchmark's pre-pass from the suite's trace and
+    /// records how long it took.
+    fn prepass(&self, b: Benchmark) -> PreparedTrace {
+        let t0 = Instant::now();
+        let p = PreparedTrace::build(self.suite.trace(b));
+        self.prepass_timings
+            .lock()
+            .expect("lab prepass timings poisoned")
+            .push((b, t0.elapsed().as_secs_f64()));
+        p
     }
 
     /// `(benchmark, seconds)` for every pre-pass actually executed, in
@@ -597,23 +595,13 @@ impl Lab {
     /// return identical results. Failures come back contained, worded
     /// by [`CellFailure::of`].
     fn run_cell(&self, cell: Cell) -> Result<Arc<SimResult>, CellFailure> {
-        let (b, c, width) = cell;
         let key = self.cell_key(cell).map_err(|error| CellFailure {
             error,
             timed_out: false,
         })?;
         let run = self
             .runner
-            .run(&key, || {
-                if self.injected_faults.contains(&cell) {
-                    panic!(
-                        "injected fault: cell ({}, config {}, width {width})",
-                        b.models(),
-                        c.label()
-                    );
-                }
-                Ok(self.prepared(b))
-            })
+            .run(&key, || Ok(self.prepass(cell.0)))
             .map_err(|e| CellFailure::of(cell, e))?;
         if let Some(metrics) = run.metrics {
             self.metrics
@@ -1596,6 +1584,21 @@ mod tests {
         assert_eq!(lab.failed_cells().len(), 1);
         assert!(lab.outcome(bad.0, bad.1, bad.2).result().is_none());
         assert_eq!(lab.simulations_run(), 0);
+    }
+
+    #[test]
+    fn an_injected_fault_fires_after_its_trace_is_prepared() {
+        let bad = (Benchmark::Li, PaperConfig::D, 4);
+        let lab = Lab::new(tiny()).with_injected_fault(bad);
+        assert!(lab
+            .outcome(Benchmark::Li, PaperConfig::A, 4)
+            .result()
+            .is_some());
+        assert_eq!(lab.prepass_timings().len(), 1, "li's trace is prepared");
+        match lab.outcome(bad.0, bad.1, bad.2) {
+            CellOutcome::Failed { error } => assert!(error.contains("injected fault"), "{error}"),
+            other => panic!("injected fault must fail its cell, got {other:?}"),
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use ddsc_core::{LoadClass, LoadSpecStats, PaperConfig};
 use ddsc_predict::{branch_stats, McFarling};
+use ddsc_util::stats::Percent;
 use ddsc_util::TextTable;
 use ddsc_workloads::Benchmark;
 
@@ -56,7 +57,7 @@ pub fn table1(suite: &Suite) -> Table1 {
                 b.models(),
                 trace.len(),
                 s.load_pct().value(),
-                100.0 * s.stores() as f64 / s.total() as f64,
+                Percent::new(s.stores(), s.total()).value(),
             )
         })
         .collect();

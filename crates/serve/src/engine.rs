@@ -320,10 +320,8 @@ impl Engine {
     /// Returns any filesystem error opening the journal.
     pub fn start(config: EngineConfig) -> io::Result<Engine> {
         let workers = config.workers.max(1);
-        let mut runner = CellRunner {
-            deadline: config.deadline,
-            ..CellRunner::default()
-        };
+        let mut runner = CellRunner::default();
+        runner.deadline = config.deadline;
         let mut resumed = Vec::new();
         if let Some(dir) = &config.run_dir {
             let (journal, records) = Journal::open(&dir.join("serve_journal.bin"))?;
@@ -343,6 +341,8 @@ impl Engine {
 
         // Warm the cache: every journaled CellFinished whose stored
         // result still loads cleanly is re-served without simulating.
+        // A cell re-run after a failed load is journaled again, so a
+        // digest can repeat: it is restored and counted once.
         if let Some((_, store)) = &shared.runner.supervision {
             let mut cells = shared.cells.lock().unwrap_or_else(|e| e.into_inner());
             for rec in &resumed {
@@ -358,6 +358,9 @@ impl Engine {
                 let (Ok(cfg), Ok(width)) = (parse_config(label), parse_width(*width)) else {
                     continue;
                 };
+                if cells.contains_key(digest) {
+                    continue;
+                }
                 if let Some(result) = store.load(*digest, SimConfig::paper(cfg, width)) {
                     let mut body = Vec::new();
                     result.encode_to(&mut body);
@@ -550,7 +553,6 @@ fn worker_loop(shared: &Shared) {
         if let Some(gate) = &shared.gate {
             gate.wait();
         }
-        // Serve keeps no prepared traces: each cell generates its own.
         let outcome = match shared.runner.run(&job.key, || job.key.prepare()) {
             Ok(run) => {
                 shared.stats.completed.fetch_add(1, Ordering::Relaxed);

@@ -375,6 +375,47 @@ fn engine_restart_on_same_run_dir_serves_journaled_cells_warm() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_cell_rerun_after_a_failed_restore_resumes_once() {
+    use ddsc_experiments::CellStore;
+    use ddsc_serve::Outcome;
+
+    let dir = tmpdir("rerun");
+    let config = || EngineConfig {
+        workers: 1,
+        run_dir: Some(dir.clone()),
+        ..EngineConfig::default()
+    };
+    let reqs: Vec<SubmitRequest> = (0..3).map(cell).collect();
+    let engine = Engine::start(config()).expect("start");
+    for req in &reqs {
+        assert!(matches!(finish(engine.submit(req)), Outcome::Done { .. }));
+    }
+    engine.shutdown();
+
+    // A damaged stored file: its cell no longer restores, so the next
+    // request for it re-runs and journals a second CellFinished.
+    let r = &reqs[0];
+    let digest = ddsc_serve::request_digest(&r.bench, &r.config, r.width, r.trace_len, r.seed);
+    let stored = CellStore::new(dir.join("cells")).path_for(digest);
+    std::fs::write(stored, b"damaged").unwrap();
+    let engine = Engine::start(config()).expect("restart");
+    assert_eq!(engine.stats().resumed_cells, 2);
+    let rerun = engine.submit(r);
+    assert!(matches!(rerun, Submission::Joined { .. }), "it re-runs");
+    assert!(matches!(finish(rerun), Outcome::Done { .. }));
+    engine.shutdown();
+
+    // Two CellFinished records name that digest now; it is one cell.
+    let engine = Engine::start(config()).expect("second restart");
+    assert_eq!(engine.stats().resumed_cells, 3, "each digest resumes once");
+    for req in &reqs {
+        assert!(matches!(engine.submit(req), Submission::Cached(_)));
+    }
+    engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Waits out one admitted submission and returns its terminal outcome.
 fn finish(submission: Submission) -> ddsc_serve::Outcome {
     match submission {

@@ -10,7 +10,7 @@
 use std::io::Read as _;
 
 use ddsc::core::{simulate, PaperConfig, PreparedTrace, SimConfig, TraceValidator};
-use ddsc::experiments::{CacheError, Lab, Suite, SuiteConfig, TraceCache};
+use ddsc::experiments::{render_all, CacheError, Lab, Suite, SuiteConfig, TraceCache};
 use ddsc::trace::fault::TraceFaultPlan;
 use ddsc::trace::io::{read_trace, write_trace};
 use ddsc::trace::Trace;
@@ -25,8 +25,9 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 }
 
 /// A zero-instruction trace flows through the whole pipeline: binary
-/// round-trip, validation, pre-pass, and simulation under every paper
-/// configuration — without panicking anywhere.
+/// round-trip, validation, pre-pass, simulation under every paper
+/// configuration, and every paper artifact of a zero-length lab —
+/// without panicking anywhere or printing a `NaN`.
 #[test]
 fn zero_instruction_traces_flow_end_to_end() {
     let empty = Trace::new("empty");
@@ -43,6 +44,17 @@ fn zero_instruction_traces_flow_end_to_end() {
         let r = simulate(&back, &SimConfig::paper(c, 8));
         assert_eq!(r.instructions, 0, "config {} on the empty trace", c.label());
     }
+
+    let lab = Lab::new(SuiteConfig {
+        trace_len: 0,
+        widths: vec![4, 8],
+        ..SuiteConfig::default()
+    });
+    let text = render_all(&lab);
+    assert!(
+        !text.contains("NaN"),
+        "a zero-length repro prints NaN:\n{text}"
+    );
 }
 
 /// The validator accepts every legitimately generated benchmark trace —

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use ddsc_util::JournalRecord;
+use ddsc_util::{JournalRecord, Json};
 
 /// Small enough to keep the test fast, large enough that a three-worker
 /// run is reliably mid-grid when the kill lands.
@@ -74,21 +74,13 @@ fn wait_exit(child: &mut Child, what: &str, secs: u64) -> Option<i32> {
     }
 }
 
-/// Crude scan for `"key": value` in the flat BENCH_dist.json payload.
+/// A top-level number of a BENCH_dist.json document.
 fn json_num(path: &Path, key: &str) -> f64 {
     let text = std::fs::read_to_string(path).expect("read BENCH_dist.json");
-    let needle = format!("\"{key}\":");
-    let line = text
-        .lines()
-        .find(|l| l.contains(&needle))
-        .unwrap_or_else(|| panic!("no {key} in {}", path.display()));
-    line.split(':')
-        .nth(1)
-        .unwrap()
-        .trim()
-        .trim_end_matches(',')
-        .parse()
-        .unwrap()
+    let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    doc.get(key)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("no number {key} in {}", path.display()))
 }
 
 fn reference_output(dir: &Path) -> Vec<u8> {

@@ -50,7 +50,6 @@
 //! run. Each incident lands in `BENCH_dist.json`.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::fmt::Write as _;
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,7 +57,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ddsc_core::SimResult;
-use ddsc_util::fnv1a;
+use ddsc_util::{fnv1a, Json};
 
 use crate::estimate::{ComputeEstimator, LeaseStat};
 use crate::proto::{read_worker_msg, write_coord_msg, CellSpec, CoordMsg, WireError, WorkerMsg};
@@ -341,85 +340,65 @@ impl DistReport {
     /// v1 field is unchanged, v2 appends the trust and adaptive-lease
     /// accounting).
     pub fn to_json(&self) -> String {
-        fn ids(ids: &[u64]) -> String {
-            let inner: Vec<String> = ids.iter().map(|id| id.to_string()).collect();
-            format!("[{}]", inner.join(", "))
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": \"ddsc-dist-bench-v2\",");
-        let _ = writeln!(out, "  \"cells_total\": {},", self.cells_total);
-        let _ = writeln!(out, "  \"cells_completed\": {},", self.cells_completed);
-        let _ = writeln!(out, "  \"cells_quarantined\": {},", self.cells_quarantined);
-        let _ = writeln!(out, "  \"redispatched\": {},", self.redispatched);
-        let _ = writeln!(out, "  \"duplicate_results\": {},", self.duplicate_results);
-        let _ = writeln!(out, "  \"corrupt_results\": {},", self.corrupt_results);
-        let _ = writeln!(out, "  \"worker_deaths\": {},", self.worker_deaths);
-        let _ = writeln!(out, "  \"spot_checked\": {},", self.spot_checked);
-        let _ = writeln!(out, "  \"mismatches\": {},", self.mismatches);
-        let _ = writeln!(
-            out,
-            "  \"byzantine_workers\": {},",
-            ids(&self.byzantine_workers)
-        );
-        let _ = writeln!(
-            out,
-            "  \"revocation_false_positives\": {},",
-            self.revocation_false_positives
-        );
-        let _ = writeln!(out, "  \"adaptive_lease\": {},", self.adaptive_lease);
-        let _ = writeln!(out, "  \"compute_seconds\": {:.6},", self.compute_seconds);
-        let _ = writeln!(out, "  \"wall_seconds\": {:.6},", self.wall_seconds);
-        let _ = writeln!(
-            out,
-            "  \"speedup_vs_serial\": {:.4},",
-            self.speedup_vs_serial()
-        );
-        let _ = writeln!(out, "  \"lease_stats\": [");
-        for (i, s) in self.lease_stats.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"bench\": \"{}\", \"samples\": {}, \"p50_s\": {:.6}, \"p95_s\": {:.6}, \"timeout_s\": {:.3}}}{}",
-                s.bench,
-                s.samples,
-                s.p50_s,
-                s.p95_s,
-                s.timeout_s,
-                if i + 1 < self.lease_stats.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"incidents\": [");
-        for (i, inc) in self.incidents.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"digest\": \"0x{:016x}\", \"bench\": \"{}\", \"config\": \"{}\", \"width\": {}, \"workers\": {}, \"byzantine\": {}, \"resolved\": {}}}{}",
-                inc.digest,
-                inc.bench,
-                inc.config,
-                inc.width,
-                ids(&inc.workers),
-                ids(&inc.byzantine),
-                inc.resolved,
-                if i + 1 < self.incidents.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"workers\": [");
-        for (i, w) in self.workers.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"id\": {}, \"cells\": {}, \"alive\": {}, \"byzantine\": {}}}{}",
-                w.id,
-                w.cells,
-                w.alive,
-                w.byzantine,
-                if i + 1 < self.workers.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = writeln!(out, "}}");
-        out
+        let lease_stats = self.lease_stats.iter().map(|s| {
+            Json::obj([
+                ("bench", s.bench.as_str().into()),
+                ("samples", s.samples.into()),
+                ("p50_s", Json::fixed(s.p50_s, 6)),
+                ("p95_s", Json::fixed(s.p95_s, 6)),
+                ("timeout_s", Json::fixed(s.timeout_s, 3)),
+            ])
+        });
+        let incidents = self.incidents.iter().map(|inc| {
+            Json::obj([
+                ("digest", format!("0x{:016x}", inc.digest).into()),
+                ("bench", inc.bench.as_str().into()),
+                ("config", inc.config.as_str().into()),
+                ("width", inc.width.into()),
+                ("workers", inc.workers.iter().copied().collect()),
+                ("byzantine", inc.byzantine.iter().copied().collect()),
+                ("resolved", inc.resolved.into()),
+            ])
+        });
+        let workers = self.workers.iter().map(|w| {
+            Json::obj([
+                ("id", w.id.into()),
+                ("cells", w.cells.into()),
+                ("alive", w.alive.into()),
+                ("byzantine", w.byzantine.into()),
+            ])
+        });
+        Json::obj([
+            ("schema", "ddsc-dist-bench-v2".into()),
+            ("cells_total", self.cells_total.into()),
+            ("cells_completed", self.cells_completed.into()),
+            ("cells_quarantined", self.cells_quarantined.into()),
+            ("redispatched", self.redispatched.into()),
+            ("duplicate_results", self.duplicate_results.into()),
+            ("corrupt_results", self.corrupt_results.into()),
+            ("worker_deaths", self.worker_deaths.into()),
+            ("spot_checked", self.spot_checked.into()),
+            ("mismatches", self.mismatches.into()),
+            (
+                "byzantine_workers",
+                self.byzantine_workers.iter().copied().collect(),
+            ),
+            (
+                "revocation_false_positives",
+                self.revocation_false_positives.into(),
+            ),
+            ("adaptive_lease", self.adaptive_lease.into()),
+            ("compute_seconds", Json::fixed(self.compute_seconds, 6)),
+            ("wall_seconds", Json::fixed(self.wall_seconds, 6)),
+            (
+                "speedup_vs_serial",
+                Json::fixed(self.speedup_vs_serial(), 4),
+            ),
+            ("lease_stats", lease_stats.collect()),
+            ("incidents", incidents.collect()),
+            ("workers", workers.collect()),
+        ])
+        .render()
     }
 }
 

@@ -16,6 +16,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use ddsc_core::{simulate_stream, PaperConfig, SimConfig, StreamError};
+use ddsc_util::Json;
 use ddsc_workloads::Benchmark;
 
 /// One rung of the convergence ladder: a full streamed simulation at a
@@ -121,39 +122,30 @@ impl ConvergenceReport {
     }
 
     /// Serialises the report as JSON (the `results/BENCH_convergence.json`
-    /// payload). Hand-rolled: the repo deliberately has no serde.
+    /// payload).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"ddsc-convergence-v1\",");
-        let _ = writeln!(out, "  \"benchmark\": \"{}\",", self.benchmark.models());
-        let _ = writeln!(out, "  \"config\": \"{}\",", self.config.label());
-        let _ = writeln!(out, "  \"width\": {},", self.width);
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"chunk_size\": {},", self.chunk_size);
-        let _ = writeln!(out, "  \"reference_ipc\": {:.6},", self.reference_ipc());
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"len\": {}, \"instructions\": {}, \"cycles\": {}, \"ipc\": {:.6}, \
-                 \"seconds\": {:.6}, \"mips\": {:.4}, \"peak_rss_bytes\": {}}}",
-                p.len,
-                p.instructions,
-                p.cycles,
-                p.ipc,
-                p.seconds,
-                p.mips(),
-                p.peak_rss_bytes
-            );
-            out.push_str(if i + 1 < self.points.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let points = self.points.iter().map(|p| {
+            Json::obj([
+                ("len", p.len.into()),
+                ("instructions", p.instructions.into()),
+                ("cycles", p.cycles.into()),
+                ("ipc", Json::fixed(p.ipc, 6)),
+                ("seconds", Json::fixed(p.seconds, 6)),
+                ("mips", Json::fixed(p.mips(), 4)),
+                ("peak_rss_bytes", p.peak_rss_bytes.into()),
+            ])
+        });
+        Json::obj([
+            ("schema", "ddsc-convergence-v1".into()),
+            ("benchmark", self.benchmark.models().into()),
+            ("config", self.config.label().into()),
+            ("width", self.width.into()),
+            ("seed", self.seed.into()),
+            ("chunk_size", self.chunk_size.into()),
+            ("reference_ipc", Json::fixed(self.reference_ipc(), 6)),
+            ("points", points.collect()),
+        ])
+        .render()
     }
 }
 

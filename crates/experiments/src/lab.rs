@@ -36,6 +36,7 @@ use ddsc_core::{
 };
 use ddsc_trace::Trace;
 use ddsc_util::journal::{Journal, JournalRecord};
+use ddsc_util::Json;
 use ddsc_workloads::Benchmark;
 
 use crate::cache::CacheError;
@@ -341,27 +342,6 @@ pub struct FailedCell {
     pub error: String,
 }
 
-/// Escapes a string for the hand-rolled JSON output (failure messages
-/// are free-form and may contain quotes or newlines).
-fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A thread-safe memoising simulation driver: each `(benchmark,
 /// configuration, width)` triple is simulated at most once per lab.
 #[derive(Debug)]
@@ -376,9 +356,11 @@ pub struct Lab {
     /// Wall-clock seconds each executed pre-pass took, per benchmark.
     prepass_timings: Mutex<Vec<(Benchmark, f64)>>,
     timings: Mutex<Vec<CellTiming>>,
-    /// Wall-clock seconds spent inside `prewarm` fan-outs (the parallel
-    /// path) — the numerator of the speedup-vs-serial estimate.
-    prewarm_wall: Mutex<f64>,
+    /// Wall-clock seconds of the lab's simulation work, the denominator
+    /// of the speedup-vs-serial estimate: each fan-out adds its elapsed
+    /// time, and each cell run on the caller or installed from outside
+    /// adds its own seconds.
+    wall: Mutex<f64>,
     /// Cells whose simulation failed during a degraded prewarm, with
     /// their rendered failure messages. Lookups of a recorded cell fail
     /// fast with the same message instead of re-running the simulation.
@@ -410,7 +392,7 @@ impl Lab {
             metrics: RwLock::new(HashMap::new()),
             prepass_timings: Mutex::new(Vec::new()),
             timings: Mutex::new(Vec::new()),
-            prewarm_wall: Mutex::new(0.0),
+            wall: Mutex::new(0.0),
             failed: RwLock::new(HashMap::new()),
             abort_after: None,
             completed: AtomicUsize::new(0),
@@ -591,10 +573,10 @@ impl Lab {
 
     /// Runs one cell through the [`CellRunner`] over the shared
     /// pre-pass and records its timing, which covers only the timing
-    /// loop. Pure per (trace, config), so concurrent duplicate runs
-    /// return identical results. Failures come back contained, worded
-    /// by [`CellFailure::of`].
-    fn run_cell(&self, cell: Cell) -> Result<Arc<SimResult>, CellFailure> {
+    /// loop; returns the result and those seconds. Pure per (trace,
+    /// config), so concurrent duplicate runs return identical results.
+    /// Failures come back contained, worded by [`CellFailure::of`].
+    fn run_cell(&self, cell: Cell) -> Result<(Arc<SimResult>, f64), CellFailure> {
         let key = self.cell_key(cell).map_err(|error| CellFailure {
             error,
             timed_out: false,
@@ -618,7 +600,19 @@ impl Lab {
                 std::process::exit(3);
             }
         }
-        Ok(Arc::new(run.result))
+        Ok((Arc::new(run.result), run.seconds))
+    }
+
+    /// Runs one cell on the caller, outside any fan-out, so its seconds
+    /// count toward the wall clock as well as the serial sum.
+    fn run_here(&self, cell: Cell) -> Result<Arc<SimResult>, CellFailure> {
+        let (result, seconds) = self.run_cell(cell)?;
+        self.add_wall(seconds);
+        Ok(result)
+    }
+
+    fn add_wall(&self, seconds: f64) {
+        *self.wall.lock().expect("lab wall poisoned") += seconds;
     }
 
     fn insert(&self, cell: Cell, result: Arc<SimResult>) -> Arc<SimResult> {
@@ -630,7 +624,8 @@ impl Lab {
 
     /// Installs a cell result computed *outside* this process (a
     /// distributed worker) the way [`Lab::result`] records its own: a
-    /// [`CellTiming`] carrying the worker-reported seconds, then
+    /// [`CellTiming`] carrying the worker-reported seconds (which also
+    /// count toward the wall clock), then
     /// [`CellRunner::install`] (store save before `CellFinished`), then
     /// the shared cache. Already-cached cells are left untouched (the
     /// first result wins, as everywhere else in the lab).
@@ -643,6 +638,7 @@ impl Lab {
             return;
         }
         self.record_timing(cell, result.instructions, seconds);
+        self.add_wall(seconds);
         let key = self.cell_key(cell).unwrap_or_else(|e| panic!("{e}"));
         self.runner.install(&key, &result);
         self.completed.fetch_add(1, Ordering::SeqCst);
@@ -694,7 +690,7 @@ impl Lab {
         if let Some(failure) = self.recorded_failure(&cell) {
             panic!("{}", failure.error);
         }
-        match self.run_cell(cell) {
+        match self.run_here(cell) {
             Ok(r) => self.insert(cell, r),
             Err(failure) => panic!("{}", failure.error),
         }
@@ -720,7 +716,7 @@ impl Lab {
         if let Some(failure) = self.recorded_failure(&cell) {
             return failure.into_outcome();
         }
-        match self.run_cell(cell) {
+        match self.run_here(cell) {
             Ok(r) => CellOutcome::Completed(self.insert(cell, r)),
             Err(failure) => self.record_failure(cell, failure).into_outcome(),
         }
@@ -902,8 +898,10 @@ impl Lab {
             return (0, Vec::new());
         }
         let t0 = Instant::now();
-        let results = par_map(todo, num_threads(), |&cell| self.run_cell(cell));
-        *self.prewarm_wall.lock().expect("lab wall poisoned") += t0.elapsed().as_secs_f64();
+        let results = par_map(todo, num_threads(), |&cell| {
+            self.run_cell(cell).map(|(result, _)| result)
+        });
+        self.add_wall(t0.elapsed().as_secs_f64());
         let mut failures = Vec::new();
         for (&cell, r) in todo.iter().zip(results) {
             match r {
@@ -978,7 +976,6 @@ impl Lab {
         // fold from +0.0: `Sum for f64` starts at -0.0, which an empty
         // report would render as "-0.000 s".
         let serial_seconds: f64 = cells.iter().map(|c| c.seconds).fold(0.0, |a, c| a + c);
-        let prewarm_wall = *self.prewarm_wall.lock().expect("lab wall poisoned");
         let prepass = self
             .prepass_timings()
             .into_iter()
@@ -1021,13 +1018,7 @@ impl Lab {
             replayed_cells: self.replayed.load(Ordering::SeqCst),
             prepass,
             serial_seconds,
-            // Cells simulated outside a prewarm fan-out ran serially on
-            // the caller; count their time as wall time too.
-            wall_seconds: if prewarm_wall > 0.0 {
-                prewarm_wall
-            } else {
-                serial_seconds
-            },
+            wall_seconds: *self.wall.lock().expect("lab wall poisoned"),
         }
     }
 }
@@ -1072,7 +1063,9 @@ pub struct LabReport {
     pub prepass: Vec<(String, f64)>,
     /// Sum of per-cell wall times — what a serial run would have cost.
     pub serial_seconds: f64,
-    /// Wall-clock of the actual (parallel) execution.
+    /// Wall-clock of the actual execution: the elapsed time of every
+    /// parallel fan-out, plus the seconds of each cell run on the
+    /// caller or installed from outside.
     pub wall_seconds: f64,
 }
 
@@ -1210,113 +1203,75 @@ impl LabReport {
     }
 
     /// Serialises the report as JSON (the `results/BENCH_lab.json`
-    /// payload). Hand-rolled: the repo deliberately has no serde.
+    /// payload).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"resumed_cells\": {},", self.resumed_cells);
-        let _ = writeln!(out, "  \"replayed_cells\": {},", self.replayed_cells);
-        let _ = writeln!(out, "  \"total_wall_seconds\": {:.6},", self.wall_seconds);
-        let _ = writeln!(
-            out,
-            "  \"serial_equivalent_seconds\": {:.6},",
-            self.serial_seconds
-        );
-        match self.speedup_vs_serial() {
-            Some(s) => {
-                let _ = writeln!(out, "  \"speedup_vs_serial\": {s:.4},");
-            }
-            None => {
-                let _ = writeln!(out, "  \"speedup_vs_serial\": null,");
-            }
-        }
-        let _ = writeln!(out, "  \"peak_rss_bytes\": {},", self.peak_rss_bytes());
-        let _ = writeln!(out, "  \"total_instructions\": {},", self.instructions());
-        let _ = writeln!(out, "  \"aggregate_mips\": {:.4},", self.mips());
-        let _ = writeln!(out, "  \"prepass_seconds\": {:.6},", self.prepass_seconds());
-        let _ = writeln!(
-            out,
-            "  \"cells_per_prepass\": {:.2},",
-            self.cells_per_prepass()
-        );
-        out.push_str("  \"prepass\": [\n");
-        for (i, (b, s)) in self.prepass.iter().enumerate() {
-            let _ = write!(out, "    {{\"benchmark\": \"{b}\", \"seconds\": {s:.6}}}");
-            out.push_str(if i + 1 < self.prepass.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"benchmark\": \"{}\", \"config\": \"{}\", \"width\": {}, \"instructions\": {}, \"seconds\": {:.6}, \"mips\": {:.4}, \"process_peak_rss_bytes\": {}}}",
-                c.benchmark.models(),
-                c.label,
-                c.width,
-                c.instructions,
-                c.seconds,
-                c.mips(),
-                c.process_peak_rss_bytes
-            );
-            out.push_str(if i + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"cell_metrics\": [\n");
-        for (i, m) in self.cell_metrics.iter().enumerate() {
+        let prepass = self.prepass.iter().map(|(b, s)| {
+            Json::obj([
+                ("benchmark", b.as_str().into()),
+                ("seconds", Json::fixed(*s, 6)),
+            ])
+        });
+        let cells = self.cells.iter().map(|c| {
+            Json::obj([
+                ("benchmark", c.benchmark.models().into()),
+                ("config", c.label.as_str().into()),
+                ("width", c.width.into()),
+                ("instructions", c.instructions.into()),
+                ("seconds", Json::fixed(c.seconds, 6)),
+                ("mips", Json::fixed(c.mips(), 4)),
+                ("process_peak_rss_bytes", c.process_peak_rss_bytes.into()),
+            ])
+        });
+        let cell_metrics = self.cell_metrics.iter().map(|m| {
             let a = &m.attribution;
-            let _ = write!(
-                out,
-                "    {{\"benchmark\": \"{}\", \"config\": \"{}\", \"width\": {}, \"cycles\": {}, \
-                 \"issue\": {}, \"branch\": {}, \"memory\": {}, \"address\": {}, \
-                 \"long_latency\": {}, \"window_full\": {}, \"dep_height\": {}}}",
-                m.benchmark,
-                m.config,
-                m.width,
-                m.cycles,
-                a.issue,
-                a.branch,
-                a.memory,
-                a.address,
-                a.long_latency,
-                a.window_full,
-                a.dep_height
-            );
-            out.push_str(if i + 1 < self.cell_metrics.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"failed_cells\": [\n");
-        for (i, fc) in self.failed_cells.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"benchmark\": \"{}\", \"config\": \"{}\", \"width\": {}, \"timed_out\": {}, \"error\": \"{}\"}}",
-                fc.benchmark,
-                fc.config,
-                fc.width,
-                fc.timed_out,
-                json_escape(&fc.error)
-            );
-            out.push_str(if i + 1 < self.failed_cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+            Json::obj([
+                ("benchmark", m.benchmark.as_str().into()),
+                ("config", m.config.as_str().into()),
+                ("width", m.width.into()),
+                ("cycles", m.cycles.into()),
+                ("issue", a.issue.into()),
+                ("branch", a.branch.into()),
+                ("memory", a.memory.into()),
+                ("address", a.address.into()),
+                ("long_latency", a.long_latency.into()),
+                ("window_full", a.window_full.into()),
+                ("dep_height", a.dep_height.into()),
+            ])
+        });
+        let failed_cells = self.failed_cells.iter().map(|fc| {
+            Json::obj([
+                ("benchmark", fc.benchmark.as_str().into()),
+                ("config", fc.config.as_str().into()),
+                ("width", fc.width.into()),
+                ("timed_out", fc.timed_out.into()),
+                ("error", fc.error.as_str().into()),
+            ])
+        });
+        let speedup = self.speedup_vs_serial().map(|s| Json::fixed(s, 4));
+        Json::obj([
+            ("threads", self.threads.into()),
+            ("resumed_cells", self.resumed_cells.into()),
+            ("replayed_cells", self.replayed_cells.into()),
+            ("total_wall_seconds", Json::fixed(self.wall_seconds, 6)),
+            (
+                "serial_equivalent_seconds",
+                Json::fixed(self.serial_seconds, 6),
+            ),
+            ("speedup_vs_serial", speedup.into()),
+            ("peak_rss_bytes", self.peak_rss_bytes().into()),
+            ("total_instructions", self.instructions().into()),
+            ("aggregate_mips", Json::fixed(self.mips(), 4)),
+            ("prepass_seconds", Json::fixed(self.prepass_seconds(), 6)),
+            (
+                "cells_per_prepass",
+                Json::fixed(self.cells_per_prepass(), 2),
+            ),
+            ("prepass", prepass.collect()),
+            ("cells", cells.collect()),
+            ("cell_metrics", cell_metrics.collect()),
+            ("failed_cells", failed_cells.collect()),
+        ])
+        .render()
     }
 }
 
@@ -1483,7 +1438,11 @@ mod tests {
         plain.result(Benchmark::Compress, PaperConfig::A, 4);
         let plain_report = plain.report();
         assert!(plain_report.cell_metrics.is_empty());
-        assert!(plain_report.to_json().contains("\"cell_metrics\": [\n  ]"));
+        let plain_json = Json::parse(&plain_report.to_json()).unwrap();
+        assert_eq!(
+            plain_json.get("cell_metrics").and_then(Json::as_array),
+            Some(&[][..])
+        );
     }
 
     #[test]
@@ -1599,16 +1558,6 @@ mod tests {
             CellOutcome::Failed { error } => assert!(error.contains("injected fault"), "{error}"),
             other => panic!("injected fault must fail its cell, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn json_escape_neutralises_control_and_quote_characters() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(
-            json_escape("a \"quote\"\nand \\ tab\t"),
-            "a \\\"quote\\\"\\nand \\\\ tab\\t"
-        );
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]
@@ -1838,6 +1787,34 @@ mod tests {
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn wall_clock_counts_cells_run_outside_a_fan_out() {
+        // Five cells simulated on the caller, then a one-cell fan-out:
+        // the wall clock covers all six, not only the fan-out.
+        let lab = Lab::new(SuiteConfig {
+            trace_len: 20_000,
+            ..tiny()
+        });
+        for &b in &Benchmark::ALL[..5] {
+            lab.result(b, PaperConfig::A, 4);
+        }
+        let caller: f64 = lab.timings().iter().map(|t| t.seconds).sum();
+        lab.prewarm(&[(Benchmark::ALL[5], PaperConfig::A, 4)]);
+        let report = lab.report();
+        assert_eq!(report.cells.len(), 6);
+        assert!(
+            report.wall_seconds >= caller,
+            "wall {} s < {caller} s of caller-run cells",
+            report.wall_seconds
+        );
+        // A result installed from outside counts its reported seconds.
+        let before = report.wall_seconds;
+        let installed = (Benchmark::Compress, PaperConfig::B, 4);
+        let result = Lab::from_suite(lab.suite().clone()).result(installed.0, installed.1, 4);
+        lab.install_result(installed, (*result).clone(), 1.5);
+        assert!(lab.report().wall_seconds >= before + 1.5);
     }
 
     #[test]

@@ -16,12 +16,11 @@
 //! re-checked here per cell, so a profile can never silently misplace a
 //! cycle.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ddsc_core::{PaperConfig, SimMetrics, StallCause};
-use ddsc_util::{Histogram, TextTable};
+use ddsc_util::{Histogram, Json, TextTable};
 use ddsc_workloads::Benchmark;
 
 use crate::Lab;
@@ -150,99 +149,69 @@ impl ConfigProfile {
         )
     }
 
-    /// Serialises the profile as JSON (schema `ddsc-profile-v1`).
-    ///
-    /// Hand-rolled (the repo deliberately has no serde) with a fixed key
-    /// order, so equal profiles serialise to equal bytes. Histograms are
-    /// emitted sparsely as `[value, count]` pairs over the non-empty
-    /// buckets.
+    /// Serialises the profile as JSON (schema `ddsc-profile-v1`) with a
+    /// fixed key order, so equal profiles serialise to equal bytes.
+    /// Histograms are emitted sparsely as `[value, count]` pairs over
+    /// the non-empty buckets.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"ddsc-profile-v1\",\n");
-        let _ = writeln!(out, "  \"config\": \"{}\",", self.config.label());
-        let _ = writeln!(out, "  \"description\": \"{}\",", self.config.description());
-        out.push_str("  \"widths\": [");
-        for (i, w) in self.widths.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{w}");
-        }
-        out.push_str("],\n");
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            out.push_str(&cell_json(cell));
-            out.push_str(if i + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let sparse = |h: &Histogram| -> Json {
+            h.iter()
+                .filter(|&(_, c)| c > 0)
+                .map(|(v, c)| [v, c].into_iter().collect::<Json>())
+                .collect()
+        };
+        let cells = self.cells.iter().map(|cell| {
+            let m = &cell.metrics;
+            let a = &m.attribution;
+            let p = &m.addr_pred;
+            Json::obj([
+                ("benchmark", cell.benchmark.models().into()),
+                ("width", cell.width.into()),
+                ("instructions", cell.instructions.into()),
+                ("cycles", cell.cycles.into()),
+                ("ipc", Json::fixed(cell.ipc, 4)),
+                (
+                    "attribution",
+                    Json::obj([
+                        ("issue", a.issue.into()),
+                        ("branch", a.branch.into()),
+                        ("memory", a.memory.into()),
+                        ("address", a.address.into()),
+                        ("long_latency", a.long_latency.into()),
+                        ("window_full", a.window_full.into()),
+                        ("dep_height", a.dep_height.into()),
+                    ]),
+                ),
+                ("issue_util", sparse(&m.issue_util)),
+                ("window_occupancy", sparse(&m.window_occupancy)),
+                ("collapse_sizes", sparse(&m.collapse_sizes)),
+                (
+                    "branch",
+                    Json::obj([
+                        ("hits", m.branch_hits.into()),
+                        ("misses", m.branch_misses.into()),
+                    ]),
+                ),
+                (
+                    "addr_pred",
+                    Json::obj([
+                        ("confident_correct", p.confident_correct.into()),
+                        ("confident_incorrect", p.confident_incorrect.into()),
+                        ("unconfident_correct", p.unconfident_correct.into()),
+                        ("unconfident_incorrect", p.unconfident_incorrect.into()),
+                    ]),
+                ),
+            ])
+        });
+        Json::obj([
+            ("schema", "ddsc-profile-v1".into()),
+            ("config", self.config.label().into()),
+            ("description", self.config.description().into()),
+            ("widths", self.widths.iter().copied().collect()),
+            ("cells", cells.collect()),
+        ])
+        .render()
     }
-}
-
-/// One profile cell as a JSON object (no trailing newline or comma).
-fn cell_json(cell: &ProfileCell) -> String {
-    let m = &cell.metrics;
-    let a = &m.attribution;
-    let mut out = String::new();
-    out.push_str("    {\n");
-    let _ = writeln!(out, "      \"benchmark\": \"{}\",", cell.benchmark.models());
-    let _ = writeln!(out, "      \"width\": {},", cell.width);
-    let _ = writeln!(out, "      \"instructions\": {},", cell.instructions);
-    let _ = writeln!(out, "      \"cycles\": {},", cell.cycles);
-    let _ = writeln!(out, "      \"ipc\": {:.4},", cell.ipc);
-    let _ = writeln!(
-        out,
-        "      \"attribution\": {{\"issue\": {}, \"branch\": {}, \"memory\": {}, \
-         \"address\": {}, \"long_latency\": {}, \"window_full\": {}, \"dep_height\": {}}},",
-        a.issue, a.branch, a.memory, a.address, a.long_latency, a.window_full, a.dep_height
-    );
-    let _ = writeln!(out, "      \"issue_util\": {},", sparse_hist(&m.issue_util));
-    let _ = writeln!(
-        out,
-        "      \"window_occupancy\": {},",
-        sparse_hist(&m.window_occupancy)
-    );
-    let _ = writeln!(
-        out,
-        "      \"collapse_sizes\": {},",
-        sparse_hist(&m.collapse_sizes)
-    );
-    let _ = writeln!(
-        out,
-        "      \"branch\": {{\"hits\": {}, \"misses\": {}}},",
-        m.branch_hits, m.branch_misses
-    );
-    let _ = writeln!(
-        out,
-        "      \"addr_pred\": {{\"confident_correct\": {}, \"confident_incorrect\": {}, \
-         \"unconfident_correct\": {}, \"unconfident_incorrect\": {}}}",
-        m.addr_pred.confident_correct,
-        m.addr_pred.confident_incorrect,
-        m.addr_pred.unconfident_correct,
-        m.addr_pred.unconfident_incorrect
-    );
-    out.push_str("    }");
-    out
-}
-
-/// A histogram as `[[value, count], ...]` over its non-empty buckets.
-fn sparse_hist(h: &Histogram) -> String {
-    let mut out = String::from("[");
-    let mut first = true;
-    for (v, c) in h.iter().filter(|&(_, c)| c > 0) {
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        let _ = write!(out, "[{v}, {c}]");
-    }
-    out.push(']');
-    out
 }
 
 /// Collects the profile of every paper configuration, prewarming the

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ddsc_core::PaperConfig;
-use ddsc_util::{percentile, publish_atomic, Pcg32};
+use ddsc_util::{percentile, publish_atomic, Json, Pcg32};
 use ddsc_workloads::Benchmark;
 
 use crate::engine::request_digest;
@@ -97,8 +97,61 @@ pub struct LoadtestReport {
     pub max_ms: f64,
     /// Server counters fetched after the run.
     pub server: StatsSnapshot,
-    /// Rendered JSON document (also what was published).
-    pub json: String,
+}
+
+impl LoadtestReport {
+    /// Renders the BENCH document (schema `ddsc-serve-bench-v1`) of a
+    /// run made with `cfg`.
+    pub fn to_json(&self, cfg: &LoadtestConfig) -> String {
+        let (p50, p90, p99, p999) = self.latency_ms;
+        let s = &self.server;
+        Json::obj([
+            ("schema", "ddsc-serve-bench-v1".into()),
+            ("addr", cfg.addr.as_str().into()),
+            ("requests", cfg.requests.into()),
+            ("clients", cfg.clients.into()),
+            ("duplicate_ratio", cfg.dup_ratio.into()),
+            ("trace_len", cfg.trace_len.into()),
+            ("seed", cfg.seed.into()),
+            ("widths", cfg.widths.iter().copied().collect()),
+            ("unique_cells", self.unique_cells.into()),
+            ("duplicates", self.duplicates.into()),
+            ("completed", self.completed.into()),
+            ("rejected", self.rejected.into()),
+            ("failed", self.failed.into()),
+            ("timed_out", self.timed_out.into()),
+            ("wall_seconds", Json::fixed(self.wall_seconds, 6)),
+            ("throughput_rps", Json::fixed(self.throughput_rps, 3)),
+            (
+                "latency_ms",
+                Json::obj([
+                    ("p50", Json::fixed(p50, 3)),
+                    ("p90", Json::fixed(p90, 3)),
+                    ("p99", Json::fixed(p99, 3)),
+                    ("p999", Json::fixed(p999, 3)),
+                    ("mean", Json::fixed(self.mean_ms, 3)),
+                    ("max", Json::fixed(self.max_ms, 3)),
+                ]),
+            ),
+            (
+                "server",
+                Json::obj([
+                    ("accepted", s.accepted.into()),
+                    ("completed", s.completed.into()),
+                    ("failed", s.failed.into()),
+                    ("timed_out", s.timed_out.into()),
+                    ("rejected_busy", s.rejected_busy.into()),
+                    ("rejected_invalid", s.rejected_invalid.into()),
+                    ("coalesced", s.coalesced.into()),
+                    ("cache_hits", s.cache_hits.into()),
+                    ("resumed_cells", s.resumed_cells.into()),
+                    ("queue_depth", s.queue_depth.into()),
+                    ("workers", s.workers.into()),
+                ]),
+            ),
+        ])
+        .render()
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -285,26 +338,7 @@ pub fn run_loadtest(cfg: &LoadtestConfig) -> Result<LoadtestReport, Box<dyn std:
         snapshot
     };
 
-    let json = render_json(
-        cfg,
-        &LoadtestNumbers {
-            completed,
-            rejected,
-            failed,
-            timed_out,
-            unique_cells,
-            duplicates,
-            wall_seconds,
-            throughput_rps,
-            latency_ms,
-            mean_ms,
-            max_ms,
-        },
-        &server,
-    );
-    publish_atomic(&cfg.out, json.as_bytes())?;
-
-    Ok(LoadtestReport {
+    let report = LoadtestReport {
         completed,
         rejected,
         failed,
@@ -317,107 +351,9 @@ pub fn run_loadtest(cfg: &LoadtestConfig) -> Result<LoadtestReport, Box<dyn std:
         mean_ms,
         max_ms,
         server,
-        json,
-    })
-}
-
-struct LoadtestNumbers {
-    completed: u64,
-    rejected: u64,
-    failed: u64,
-    timed_out: u64,
-    unique_cells: u64,
-    duplicates: u64,
-    wall_seconds: f64,
-    throughput_rps: f64,
-    latency_ms: (f64, f64, f64, f64),
-    mean_ms: f64,
-    max_ms: f64,
-}
-
-fn render_json(cfg: &LoadtestConfig, n: &LoadtestNumbers, s: &StatsSnapshot) -> String {
-    let widths = cfg
-        .widths
-        .iter()
-        .map(|w| w.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let (p50, p90, p99, p999) = n.latency_ms;
-    format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"ddsc-serve-bench-v1\",\n",
-            "  \"addr\": \"{addr}\",\n",
-            "  \"requests\": {requests},\n",
-            "  \"clients\": {clients},\n",
-            "  \"duplicate_ratio\": {dup_ratio},\n",
-            "  \"trace_len\": {trace_len},\n",
-            "  \"seed\": {seed},\n",
-            "  \"widths\": [{widths}],\n",
-            "  \"unique_cells\": {unique_cells},\n",
-            "  \"duplicates\": {duplicates},\n",
-            "  \"completed\": {completed},\n",
-            "  \"rejected\": {rejected},\n",
-            "  \"failed\": {failed},\n",
-            "  \"timed_out\": {timed_out},\n",
-            "  \"wall_seconds\": {wall:.6},\n",
-            "  \"throughput_rps\": {rps:.3},\n",
-            "  \"latency_ms\": {{\n",
-            "    \"p50\": {p50:.3},\n",
-            "    \"p90\": {p90:.3},\n",
-            "    \"p99\": {p99:.3},\n",
-            "    \"p999\": {p999:.3},\n",
-            "    \"mean\": {mean:.3},\n",
-            "    \"max\": {max:.3}\n",
-            "  }},\n",
-            "  \"server\": {{\n",
-            "    \"accepted\": {s_accepted},\n",
-            "    \"completed\": {s_completed},\n",
-            "    \"failed\": {s_failed},\n",
-            "    \"timed_out\": {s_timed_out},\n",
-            "    \"rejected_busy\": {s_rejected_busy},\n",
-            "    \"rejected_invalid\": {s_rejected_invalid},\n",
-            "    \"coalesced\": {s_coalesced},\n",
-            "    \"cache_hits\": {s_cache_hits},\n",
-            "    \"resumed_cells\": {s_resumed},\n",
-            "    \"queue_depth\": {s_queue_depth},\n",
-            "    \"workers\": {s_workers}\n",
-            "  }}\n",
-            "}}\n",
-        ),
-        addr = cfg.addr,
-        requests = cfg.requests,
-        clients = cfg.clients,
-        dup_ratio = cfg.dup_ratio,
-        trace_len = cfg.trace_len,
-        seed = cfg.seed,
-        widths = widths,
-        unique_cells = n.unique_cells,
-        duplicates = n.duplicates,
-        completed = n.completed,
-        rejected = n.rejected,
-        failed = n.failed,
-        timed_out = n.timed_out,
-        wall = n.wall_seconds,
-        rps = n.throughput_rps,
-        p50 = p50,
-        p90 = p90,
-        p99 = p99,
-        p999 = p999,
-        mean = n.mean_ms,
-        max = n.max_ms,
-        s_accepted = s.accepted,
-        s_completed = s.completed,
-        s_failed = s.failed,
-        s_timed_out = s.timed_out,
-        s_rejected_busy = s.rejected_busy,
-        s_rejected_invalid = s.rejected_invalid,
-        s_coalesced = s.coalesced,
-        s_cache_hits = s.cache_hits,
-        s_resumed = s.resumed_cells,
-        s_queue_depth = s.queue_depth,
-        s_workers = s.workers,
-    )
+    };
+    publish_atomic(&cfg.out, report.to_json(cfg).as_bytes())?;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -493,7 +429,7 @@ mod tests {
     #[test]
     fn bench_json_renders_parseable_with_stable_keys() {
         let cfg = LoadtestConfig::default();
-        let numbers = LoadtestNumbers {
+        let report = LoadtestReport {
             completed: 10,
             rejected: 1,
             failed: 0,
@@ -505,11 +441,12 @@ mod tests {
             latency_ms: (1.0, 2.0, 3.0, 4.0),
             mean_ms: 1.4,
             max_ms: 4.2,
+            server: StatsSnapshot::default(),
         };
-        let json = render_json(&cfg, &numbers, &StatsSnapshot::default());
-        let doc = ddsc_util::Json::parse(&json).expect("valid JSON");
+        let json = report.to_json(&cfg);
+        let doc = Json::parse(&json).expect("valid JSON");
         assert_eq!(
-            doc.get("schema").and_then(ddsc_util::Json::as_str),
+            doc.get("schema").and_then(Json::as_str),
             Some("ddsc-serve-bench-v1")
         );
         let latency = doc.get("latency_ms").expect("latency object");
@@ -517,14 +454,8 @@ mod tests {
             latency.keys(),
             vec!["p50", "p90", "p99", "p999", "mean", "max"]
         );
-        assert_eq!(
-            latency.get("p99").and_then(ddsc_util::Json::as_f64),
-            Some(3.0)
-        );
+        assert_eq!(latency.get("p99").and_then(Json::as_f64), Some(3.0));
         let server = doc.get("server").expect("server object");
-        assert_eq!(
-            server.get("coalesced").and_then(ddsc_util::Json::as_f64),
-            Some(0.0)
-        );
+        assert_eq!(server.get("coalesced").and_then(Json::as_f64), Some(0.0));
     }
 }

@@ -1,10 +1,14 @@
 //! Benchmarks the shared analysis pre-pass: what one `PreparedTrace`
-//! build costs, how a prepared configuration sweep compares against
-//! re-analysing the trace per cell, and how quickly the pre-pass
-//! amortises as the width sweep grows.
+//! build costs, what the streaming pre-pass costs over the same trace,
+//! how a prepared configuration sweep compares against re-analysing the
+//! trace per cell, and how quickly the pre-pass amortises as the width
+//! sweep grows.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ddsc_core::{simulate, simulate_prepared, PaperConfig, PreparedTrace, SimConfig};
+use ddsc_core::{
+    simulate, simulate_prepared, PaperConfig, PreparedTrace, SimConfig, StreamingPrepass,
+    DEFAULT_CHUNK_SIZE,
+};
 use ddsc_workloads::Benchmark;
 
 const LEN: usize = 50_000;
@@ -17,6 +21,31 @@ fn prepass_build(c: &mut Criterion) {
     group.throughput(Throughput::Elements(trace.len() as u64));
     group.bench_function("build", |b| {
         b.iter(|| criterion::black_box(PreparedTrace::build(&trace)))
+    });
+    // The whole-trace pass at the streaming pass's work: the build plus
+    // the default branch and address verdict streams a D cell reads.
+    group.bench_function("build_with_verdicts", |b| {
+        b.iter(|| {
+            let p = PreparedTrace::build(&trace);
+            criterion::black_box(p.default_branch_stream());
+            criterion::black_box(p.default_addr_stream());
+            p
+        })
+    });
+    // The streaming pass as a D/8 stream cell drives it: one chunk at a
+    // time, every column evicted after each chunk.
+    let config = SimConfig::paper(PaperConfig::D, 8);
+    group.bench_function("stream", |b| {
+        b.iter(|| {
+            let mut prep = StreamingPrepass::new(&config);
+            for chunk in trace.insts().chunks(DEFAULT_CHUNK_SIZE) {
+                for inst in chunk {
+                    prep.push(inst);
+                }
+                prep.evict_to(prep.len());
+            }
+            prep.len()
+        })
     });
     group.finish();
 }

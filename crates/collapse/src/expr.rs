@@ -793,4 +793,53 @@ mod tests {
         let c = arrr(1, 3, 2, 5);
         leaf(&c).absorb(&leaf(&p), &[]);
     }
+
+    #[test]
+    fn leaf_from_matches_leaf_with() {
+        let mut t = ddsc_trace::Trace::new("leaves");
+        t.push(TraceInst::alu(0, Opcode::Add, r(1), r(2), None, Some(1), 0));
+        t.push(TraceInst::alu(
+            4,
+            Opcode::Mul,
+            r(3),
+            r(1),
+            Some(r(2)),
+            None,
+            0,
+        ));
+        t.push(TraceInst::load(
+            8,
+            Opcode::Ld,
+            r(4),
+            r(1),
+            None,
+            Some(0),
+            0,
+            64,
+        ));
+        t.push(TraceInst::cond_branch(12, Opcode::Bcc(Cond::Ne), true, 0));
+        t.push(TraceInst::uncond(
+            16,
+            Opcode::Call,
+            Some(Reg::LINK),
+            None,
+            0x40,
+        ));
+        for opts in [
+            CollapseOpts::default(),
+            CollapseOpts {
+                zero_detection: false,
+                ..CollapseOpts::default()
+            },
+        ] {
+            for (i, inst) in t.insts().iter().enumerate() {
+                assert_eq!(
+                    inst.optype()
+                        .map(|optype| ExprState::leaf_from(i as u32, optype, &opts)),
+                    ExprState::leaf_with(i as u32, inst, &opts),
+                    "inst {i}"
+                );
+            }
+        }
+    }
 }

@@ -16,7 +16,9 @@
 //!   each in-flight instruction, and [`ExprState::absorb`], the legality
 //!   check + state transition for collapsing one producer into a
 //!   consumer;
-//! * [`rules`] — which dependences of which consumers are collapsible;
+//! * [`rules`] — which dependences of which consumers are collapsible,
+//!   and the one-byte absorb-slot code ([`encode_slots`]) the
+//!   pre-pass tags each dependence edge with;
 //! * [`CollapseCategory`] — the paper's 3-1 / 4-1 / zero-operand-detection
 //!   classification (Figure 9);
 //! * [`PatternTable`] and [`CollapseStats`] — the frequency tables behind
@@ -27,7 +29,6 @@
 //! types.
 
 pub mod expr;
-pub mod pass;
 pub mod patterns;
 pub mod rules;
 pub mod stats;
@@ -35,7 +36,6 @@ pub mod stats;
 pub use expr::{
     AbsorbSlot, CollapseCategory, CollapseOpts, ExprState, SlotSet, MAX_EXPR_OPS, MAX_MEMBERS,
 };
-pub use pass::{decode_slots, encode_slots, CollapseStatic};
 pub use patterns::{PatternKey, PatternTable};
-pub use rules::{absorb_slots, can_produce};
+pub use rules::{absorb_slots, can_produce, decode_slots, encode_slots};
 pub use stats::CollapseStats;

@@ -11,6 +11,11 @@
 //!   is itself ALU-class; its *address* operands if it is a load or
 //!   store (never the store-data operand); its `%icc` dependence if it
 //!   is a conditional branch.
+//!
+//! A dependence can be absorbed through at most two operand positions
+//! ([`absorb_slots`] returns rs1/rs2 or the single `%icc` link), so a
+//! slot list packs into one byte ([`encode_slots`]): the pre-pass tags
+//! every dependence edge with one.
 
 use ddsc_isa::{OpClass, Reg};
 use ddsc_trace::record::{ZERO_RS1, ZERO_RS2};
@@ -69,6 +74,39 @@ pub fn absorb_slots(consumer: &TraceInst, producer_dest: Reg) -> Vec<AbsorbSlot>
         OpClass::Uncond | OpClass::Mul | OpClass::Div | OpClass::Nop => {}
     }
     slots
+}
+
+/// Packs an absorb-slot list (at most two positions) into one byte:
+/// bits 0–1 hold the count, bits 2–3 and 4–5 one slot kind each.
+///
+/// # Panics
+///
+/// Panics if `slots` has more than two entries — the rules never produce
+/// more.
+pub fn encode_slots(slots: &[AbsorbSlot]) -> u8 {
+    assert!(slots.len() <= 2, "a dependence spans at most two operands");
+    let kind = |s: AbsorbSlot| match s {
+        AbsorbSlot::Counted => 0u8,
+        AbsorbSlot::ZeroReg => 1,
+        AbsorbSlot::Icc => 2,
+    };
+    let mut code = slots.len() as u8;
+    for (k, &s) in slots.iter().enumerate() {
+        code |= kind(s) << (2 + 2 * k);
+    }
+    code
+}
+
+/// Unpacks an [`encode_slots`] byte; the slice view of the returned array
+/// is `&decoded[..count]`.
+pub fn decode_slots(code: u8) -> ([AbsorbSlot; 2], usize) {
+    let kind = |bits: u8| match bits & 3 {
+        0 => AbsorbSlot::Counted,
+        1 => AbsorbSlot::ZeroReg,
+        _ => AbsorbSlot::Icc,
+    };
+    let count = usize::from(code & 3);
+    ([kind(code >> 2), kind(code >> 4)], count)
 }
 
 fn push_operand_slots(consumer: &TraceInst, dest: Reg, slots: &mut Vec<AbsorbSlot>) {
@@ -165,5 +203,37 @@ mod tests {
         assert!(absorb_slots(&mul, r(2)).is_empty());
         let div = TraceInst::alu(0, Opcode::Div, r(1), r(2), Some(r(3)), None, 0);
         assert!(absorb_slots(&div, r(3)).is_empty());
+    }
+
+    #[test]
+    fn slot_codes_round_trip() {
+        use AbsorbSlot::*;
+        for slots in [
+            vec![],
+            vec![Counted],
+            vec![ZeroReg],
+            vec![Icc],
+            vec![Counted, Counted],
+            vec![Counted, ZeroReg],
+            vec![ZeroReg, Counted],
+            vec![ZeroReg, ZeroReg],
+        ] {
+            let (decoded, count) = decode_slots(encode_slots(&slots));
+            assert_eq!(&decoded[..count], slots.as_slice(), "{slots:?}");
+        }
+    }
+
+    #[test]
+    fn empty_slot_list_encodes_to_zero() {
+        assert_eq!(encode_slots(&[]), 0);
+        let (_, count) = decode_slots(0);
+        assert_eq!(count, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most two")]
+    fn three_slots_rejected() {
+        use AbsorbSlot::Counted;
+        encode_slots(&[Counted, Counted, Counted]);
     }
 }

@@ -4,36 +4,54 @@
 //! models, and most of what the simulator computes per run is a pure
 //! function of the trace alone: register dependence edges, memory
 //! dependences, basic-block numbering, reader counts, collapse
-//! eligibility, operation latencies, and — per predictor geometry, not
-//! per machine width — the branch / address / value predictor verdict
-//! streams. [`PreparedTrace::build`] walks the trace once and
-//! materialises all of it into packed structure-of-arrays columns
-//! (dense `Vec<u8>` / `Vec<u32>` plus CSR edge lists, no `Option`s), so
-//! [`simulate_prepared`](crate::simulator::simulate_prepared) runs the
-//! timing loop straight off arrays instead of re-deriving dependences
-//! from [`TraceInst`](ddsc_trace::TraceInst) records every cell.
+//! eligibility and operand patterns, operation latencies, and — per
+//! predictor geometry, not per machine width — the branch / address /
+//! value predictor verdicts.
+//!
+//! Those facts come from one walk. A private per-instruction step holds
+//! the trace-order state (the last writer of each register, the last
+//! store to each word, the block counter, the branch and valued-load
+//! counts) and returns one instruction's flag byte, producer row with
+//! absorb-slot codes, memory dependence, block and operand pattern. A
+//! second private step trains the McFarling, two-delta stride and
+//! two-delta value tables on one instruction in fetch order and packs
+//! their verdicts into one byte. Two storage layouts drive the steps:
+//!
+//! * [`PreparedTrace::build`] appends every instruction's facts to
+//!   packed structure-of-arrays columns (dense `Vec<u8>` / `Vec<u32>`
+//!   plus CSR edge lists and per-occurrence reader counts), shared by
+//!   every cell of a grid; its verdict streams run the verdict step over
+//!   those columns;
+//! * [`StreamingPrepass::push`] appends them to ring columns that the
+//!   streaming timing loop evicts behind its watermark, running the
+//!   verdict step inline.
 //!
 //! Predictor verdict streams are config-*class* dependent: they vary
 //! with table geometry (`predictor_n`, `stride_bits`, confidence
 //! parameters) but never with issue width or window size, because the
 //! predictors are trained in fetch order — which is trace order — no
-//! matter how wide the machine is. The streams for the paper's default
-//! geometry are computed lazily, once, behind [`std::sync::OnceLock`]s
-//! (so concurrent grid workers share one computation); ablations with
-//! non-default geometry recompute their stream per call through the
-//! same code path, keeping results bit-identical either way.
+//! matter how wide the machine is. The whole-trace streams for the
+//! paper's default geometry are computed lazily, once, behind
+//! [`std::sync::OnceLock`]s (so concurrent grid workers share one
+//! computation); ablations with non-default geometry recompute their
+//! stream per call through the same verdict step, keeping results
+//! bit-identical either way.
 
 use std::sync::OnceLock;
 
-use ddsc_collapse::{absorb_slots, encode_slots, CollapseStatic};
+use ddsc_collapse::{absorb_slots, can_produce, encode_slots};
+use ddsc_isa::{OpType, Reg};
 use ddsc_predict::{
     AddressPredictor, DirectionPredictor, McFarling, SatCounter, TwoDeltaStride, TwoDeltaValue,
     ValuePredictor,
 };
-use ddsc_trace::Trace;
-use ddsc_util::{fnv1a, BitSet, FxHashMap, RingVec};
+use ddsc_trace::{Trace, TraceInst};
+use ddsc_util::{BitSet, FxHashMap, RingVec};
 
-use crate::{BranchRunStats, ConfidenceParams, Latencies, ValueSpecStats};
+use crate::{
+    BranchRunStats, ConfidenceParams, Latencies, LoadSpecMode, SimConfig, ValueSpecMode,
+    ValueSpecStats,
+};
 
 /// Column sentinel meaning "no dependence".
 pub const NO_DEP: u32 = u32::MAX;
@@ -53,6 +71,9 @@ pub const F_VALUE: u8 = 1 << 5;
 /// Flag bit: the instruction's result may be absorbed by a consumer
 /// (collapsible producer with a destination).
 pub const F_CAN_PRODUCE: u8 = 1 << 6;
+/// Flag bit: the instruction may absorb producers (collapsible
+/// consumer).
+pub const F_CONSUMER: u8 = 1 << 7;
 
 /// The geometry parameters the default cached streams are built for —
 /// the values every [`crate::SimConfig`] constructor uses.
@@ -80,6 +101,237 @@ pub struct ValueStream {
     pub bypass: BitSet,
     /// Totals for the run.
     pub stats: ValueSpecStats,
+}
+
+/// A register-producer row copied to the stack: up to four deduplicated
+/// sources with their collapse slot codes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ProducerRow {
+    prods: [u32; 4],
+    codes: [u8; 4],
+    len: u8,
+}
+
+impl ProducerRow {
+    pub(crate) fn push(&mut self, prod: u32, code: u8) {
+        self.prods[self.len as usize] = prod;
+        self.codes[self.len as usize] = code;
+        self.len += 1;
+    }
+
+    fn contains(&self, prod: u32) -> bool {
+        self.prods[..self.len as usize].contains(&prod)
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u8)> + '_ {
+        (0..self.len as usize).map(|k| (self.prods[k], self.codes[k]))
+    }
+}
+
+/// One instruction's trace-order facts, as [`Walk::step`] derives them.
+struct Facts {
+    /// The `F_*` bits.
+    flags: u8,
+    /// Register-dependence producers, deduplicated, in source order,
+    /// each with its absorb-slot code ([`encode_slots`]; 0 ⇔ not
+    /// collapse-eligible).
+    row: ProducerRow,
+    /// The latest earlier store to the same word for a load, [`NO_DEP`]
+    /// elsewhere.
+    mem_dep: u32,
+    /// Basic-block sequence number: control transfers strictly before.
+    block: u32,
+    /// The operand pattern; `None` for operations that never collapse.
+    optype: Option<OpType>,
+}
+
+/// The trace-order state of the pre-pass walk, shared by both storage
+/// layouts. It is O(machine), not O(trace): a streaming pass keeps it
+/// for the whole run while its columns are evicted.
+#[derive(Debug)]
+struct Walk {
+    /// Instructions walked so far (the next instruction's position).
+    len: u32,
+    /// The last writer of each register with that writer's can-produce
+    /// bit, so a row's slot codes never read the producer's column
+    /// (which a streaming pass may have evicted).
+    last_writer: [Option<(u32, bool)>; Reg::COUNT],
+    /// The last store to each word.
+    store_map: FxHashMap<u32, u32>,
+    /// Control transfers walked so far.
+    blocks: u32,
+    /// Conditional branches walked so far.
+    cond_branches: u64,
+    /// Loads carrying a traced value (the ideal value-speculation
+    /// `predicted_correct` count).
+    loads_with_value: u64,
+}
+
+impl Walk {
+    fn new() -> Self {
+        Walk {
+            len: 0,
+            last_writer: [None; Reg::COUNT],
+            store_map: FxHashMap::default(),
+            blocks: 0,
+            cond_branches: 0,
+            loads_with_value: 0,
+        }
+    }
+
+    /// Analyses the next instruction. `read` sees the producer of every
+    /// register-source occurrence, repeats included (node elimination
+    /// compares against every read, not every distinct reader).
+    fn step(&mut self, inst: &TraceInst, mut read: impl FnMut(u32)) -> Facts {
+        let i = self.len;
+        let produces = can_produce(inst);
+        let bit = |on: bool, bit: u8| if on { bit } else { 0 };
+        let flags = bit(inst.is_load(), F_LOAD)
+            | bit(inst.is_store(), F_STORE)
+            | bit(inst.op.is_cond_branch(), F_COND_BRANCH)
+            | bit(inst.op.is_control(), F_CONTROL)
+            | bit(inst.taken, F_TAKEN)
+            | bit(inst.value.is_some(), F_VALUE)
+            | bit(produces, F_CAN_PRODUCE)
+            | bit(inst.op.class().is_collapsible_consumer(), F_CONSUMER);
+        self.cond_branches += u64::from(flags & F_COND_BRANCH != 0);
+        self.loads_with_value += u64::from(flags & (F_LOAD | F_VALUE) == F_LOAD | F_VALUE);
+
+        let mut row = ProducerRow::default();
+        for r in inst.reg_sources() {
+            if let Some((prod, prod_produces)) = self.last_writer[r.index()] {
+                read(prod);
+                if !row.contains(prod) {
+                    let code = if prod_produces {
+                        encode_slots(&absorb_slots(inst, r))
+                    } else {
+                        0
+                    };
+                    row.push(prod, code);
+                }
+            }
+        }
+        let word = inst.ea.unwrap_or(0) & !3;
+        let mem_dep = if inst.is_load() {
+            self.store_map.get(&word).copied().unwrap_or(NO_DEP)
+        } else {
+            NO_DEP
+        };
+        let facts = Facts {
+            flags,
+            row,
+            mem_dep,
+            block: self.blocks,
+            optype: inst.optype(),
+        };
+
+        // Trace-order bookkeeping for later instructions.
+        if let Some(d) = inst.dest {
+            self.last_writer[d.index()] = Some((i, produces));
+        }
+        if inst.is_store() {
+            self.store_map.insert(word, i);
+        }
+        if inst.op.is_control() {
+            self.blocks += 1;
+        }
+        self.len += 1;
+        facts
+    }
+}
+
+/// Verdict-byte bit: a mispredicted conditional branch.
+const VERDICT_MISPRED: u8 = 1 << 0;
+/// Verdict-byte shift of the address-prediction flags (bit 0
+/// confident, bit 1 correct).
+const VERDICT_ADDR_SHIFT: u8 = 1;
+/// Verdict-byte bit: the value table predicted the load's result
+/// confidently and correctly.
+const VERDICT_VALUE_HIT: u8 = 1 << 3;
+
+/// The address-prediction flags packed in a verdict byte.
+fn addr_flags(verdict: u8) -> u8 {
+    (verdict >> VERDICT_ADDR_SHIFT) & 3
+}
+
+/// A two-delta stride table with the given index bits and confidence
+/// counter.
+fn stride_table(bits: u32, conf: &ConfidenceParams) -> TwoDeltaStride {
+    TwoDeltaStride::with_confidence(
+        bits,
+        SatCounter::with_params(conf.max, conf.inc, conf.dec, conf.threshold),
+    )
+}
+
+/// The fetch-order predictor tables of one configuration class and the
+/// verdict step that trains them. A table left `None` is not consulted:
+/// perfect branches, or a speculation mode that does not use it.
+#[derive(Debug, Default)]
+struct Predictors {
+    branch: Option<McFarling>,
+    addr: Option<TwoDeltaStride>,
+    value: Option<TwoDeltaValue>,
+    /// Mispredicted conditional branches so far.
+    mispredicted: u64,
+    /// The value table's outcomes so far.
+    value_stats: ValueSpecStats,
+}
+
+impl Predictors {
+    /// Trains every table the instruction reaches, in fetch order, and
+    /// packs the verdicts into one byte (`VERDICT_*` bits).
+    fn step(&mut self, flags: u8, pc: u32, ea: u32, value: u32) -> u8 {
+        let mut verdict = 0u8;
+        if flags & F_COND_BRANCH != 0 {
+            if let Some(p) = &mut self.branch {
+                if !p.predict_and_train(pc, flags & F_TAKEN != 0) {
+                    verdict |= VERDICT_MISPRED;
+                    self.mispredicted += 1;
+                }
+            }
+        }
+        if flags & F_LOAD == 0 {
+            return verdict;
+        }
+        if let Some(table) = &mut self.addr {
+            let pred = table.access(pc, ea);
+            verdict |=
+                (u8::from(pred.confident) | (u8::from(pred.correct) << 1)) << VERDICT_ADDR_SHIFT;
+        }
+        if flags & F_VALUE != 0 {
+            if let Some(table) = &mut self.value {
+                let pred = table.access(pc, value);
+                let stats = &mut self.value_stats;
+                if pred.confident && pred.correct {
+                    verdict |= VERDICT_VALUE_HIT;
+                    stats.predicted_correct += 1;
+                } else if pred.confident {
+                    stats.predicted_incorrect += 1;
+                } else {
+                    stats.not_predicted += 1;
+                }
+            }
+        }
+        verdict
+    }
+}
+
+/// A run's value-speculation totals under `mode`: the ideal modes
+/// predict every traced load correctly, the real mode reports its
+/// table's outcomes.
+pub(crate) fn value_stats(
+    mode: ValueSpecMode,
+    loads_with_value: u64,
+    real: ValueSpecStats,
+) -> ValueSpecStats {
+    match mode {
+        ValueSpecMode::Off => ValueSpecStats::default(),
+        ValueSpecMode::Ideal | ValueSpecMode::IdealAll => ValueSpecStats {
+            predicted_correct: loads_with_value,
+            ..ValueSpecStats::default()
+        },
+        ValueSpecMode::Real => real,
+    }
 }
 
 /// A trace compiled into packed analysis columns.
@@ -121,9 +373,8 @@ pub struct PreparedTrace {
     /// Latest earlier store to the same word, for loads ([`NO_DEP`]
     /// elsewhere).
     mem_dep: Vec<u32>,
-    /// Config-invariant collapse facts (operand patterns, consumer
-    /// eligibility).
-    collapse: CollapseStatic,
+    /// Operand patterns (`None` for operations that never collapse).
+    optype: Vec<Option<OpType>>,
     /// Total conditional branches.
     cond_branches: u64,
     /// Loads that carry a traced value (the ideal value-speculation
@@ -155,7 +406,7 @@ impl PreparedTrace {
             edge_prod: Vec::with_capacity(2 * n),
             edge_slots: Vec::with_capacity(2 * n),
             mem_dep: Vec::with_capacity(n),
-            collapse: CollapseStatic::default(),
+            optype: Vec::with_capacity(n),
             cond_branches: 0,
             loads_with_value: 0,
             branch_default: OnceLock::new(),
@@ -164,88 +415,28 @@ impl PreparedTrace {
         };
 
         let lat = Latencies::default();
-        let mut last_writer = [None::<u32>; ddsc_isa::Reg::COUNT];
-        let mut store_map: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut blocks = 0u32;
-
+        let mut walk = Walk::new();
         p.edge_start.push(0);
-        for (i, inst) in insts.iter().enumerate() {
-            p.collapse.push(inst);
-
-            let mut flags = 0u8;
-            if inst.is_load() {
-                flags |= F_LOAD;
-            }
-            if inst.is_store() {
-                flags |= F_STORE;
-            }
-            if inst.op.is_cond_branch() {
-                flags |= F_COND_BRANCH;
-                p.cond_branches += 1;
-            }
-            if inst.op.is_control() {
-                flags |= F_CONTROL;
-            }
-            if inst.taken {
-                flags |= F_TAKEN;
-            }
-            if inst.value.is_some() {
-                flags |= F_VALUE;
-                if inst.is_load() {
-                    p.loads_with_value += 1;
-                }
-            }
-            if ddsc_collapse::can_produce(inst) {
-                flags |= F_CAN_PRODUCE;
-            }
-            p.flags.push(flags);
+        for inst in insts {
+            let readers = &mut p.readers;
+            let facts = walk.step(inst, |prod| readers[prod as usize] += 1);
+            p.flags.push(facts.flags);
             p.pc.push(inst.pc);
             p.op.push(inst.op);
             p.lat.push(lat.of(inst.op));
             p.ea.push(inst.ea.unwrap_or(0));
             p.value.push(inst.value.unwrap_or(0));
-            p.block.push(blocks);
-
-            // Register dependence edges: one per distinct producer, in
-            // source order, tagged with its absorb-slot code. Reader
-            // counts stay per-occurrence (node elimination compares
-            // against every read, not every distinct reader).
-            let row = p.edge_prod.len();
-            for r in inst.reg_sources() {
-                if let Some(prod) = last_writer[r.index()] {
-                    p.readers[prod as usize] += 1;
-                    if !p.edge_prod[row..].contains(&prod) {
-                        let code = if p.flags[prod as usize] & F_CAN_PRODUCE != 0 {
-                            encode_slots(&absorb_slots(inst, r))
-                        } else {
-                            0
-                        };
-                        p.edge_prod.push(prod);
-                        p.edge_slots.push(code);
-                    }
-                }
+            p.block.push(facts.block);
+            for (prod, code) in facts.row.iter() {
+                p.edge_prod.push(prod);
+                p.edge_slots.push(code);
             }
             p.edge_start.push(p.edge_prod.len() as u32);
-
-            // Memory dependence: the latest earlier store to this word.
-            let word = inst.ea.unwrap_or(0) & !3;
-            p.mem_dep.push(if inst.is_load() {
-                store_map.get(&word).copied().unwrap_or(NO_DEP)
-            } else {
-                NO_DEP
-            });
-
-            // Trace-order bookkeeping for later instructions.
-            if let Some(d) = inst.dest {
-                last_writer[d.index()] = Some(i as u32);
-            }
-            if inst.is_store() {
-                store_map.insert(word, i as u32);
-            }
-            if inst.op.is_control() {
-                blocks += 1;
-            }
+            p.mem_dep.push(facts.mem_dep);
+            p.optype.push(facts.optype);
         }
+        p.cond_branches = walk.cond_branches;
+        p.loads_with_value = walk.loads_with_value;
         p
     }
 
@@ -322,10 +513,10 @@ impl PreparedTrace {
         }
     }
 
-    /// The config-invariant collapse facts.
+    /// The operand pattern of instruction `i`, if it has one.
     #[inline]
-    pub fn collapse(&self) -> &CollapseStatic {
-        &self.collapse
+    pub fn optype_of(&self, i: usize) -> Option<OpType> {
+        self.optype[i]
     }
 
     /// Total conditional branches in the trace.
@@ -338,56 +529,43 @@ impl PreparedTrace {
         self.loads_with_value
     }
 
-    /// A cheap fingerprint of the packed columns (diagnostics / cache
-    /// keys).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(&self.flags);
-        h ^= fnv1a(&self.edge_slots).rotate_left(1);
-        h ^= fnv1a(&self.lat).rotate_left(2);
-        h
-    }
-
-    /// The `(pc, taken)` outcome stream of the conditional branches, in
-    /// fetch order.
-    fn branch_outcomes(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
-        self.cond_indices()
-            .map(|i| (self.pc[i], self.flags[i] & F_TAKEN != 0))
-    }
-
-    fn cond_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.flags
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f & F_COND_BRANCH != 0)
-            .map(|(i, _)| i)
-    }
-
-    fn load_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.flags
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f & F_LOAD != 0)
-            .map(|(i, _)| i)
+    /// Runs the verdict step with `tables` over the instructions whose
+    /// flags meet `reach` (the ones the tables train on; every other
+    /// verdict is 0), handing each verdict byte to `each`; returns the
+    /// trained tables and their totals.
+    fn verdicts(
+        &self,
+        reach: u8,
+        mut tables: Predictors,
+        mut each: impl FnMut(usize, u8),
+    ) -> Predictors {
+        for (i, &flags) in self.flags.iter().enumerate() {
+            if flags & reach != 0 {
+                each(i, tables.step(flags, self.pc[i], self.ea[i], self.value[i]));
+            }
+        }
+        tables
     }
 
     /// Runs a McFarling predictor of size `n` over the branch outcome
     /// stream. Width-invariant: depends only on the trace and `n`.
     pub fn branch_stream(&self, n: u32) -> BranchStream {
-        let verdicts = McFarling::new(n).verdict_stream(self.branch_outcomes());
         let mut mispredicted = BitSet::new(self.len());
-        let mut stats = BranchRunStats {
-            cond_branches: self.cond_branches,
-            mispredicted: 0,
+        let tables = Predictors {
+            branch: Some(McFarling::new(n)),
+            ..Predictors::default()
         };
-        for (ok, i) in verdicts.into_iter().zip(self.cond_indices()) {
-            if !ok {
+        let tables = self.verdicts(F_COND_BRANCH, tables, |i, v| {
+            if v & VERDICT_MISPRED != 0 {
                 mispredicted.set(i);
-                stats.mispredicted += 1;
             }
-        }
+        });
         BranchStream {
             mispredicted,
-            stats,
+            stats: BranchRunStats {
+                cond_branches: self.cond_branches,
+                mispredicted: tables.mispredicted,
+            },
         }
     }
 
@@ -414,15 +592,12 @@ impl PreparedTrace {
     /// returns the per-instruction prediction flags (bit 0 = confident,
     /// bit 1 = correct; 0 for non-loads). Width-invariant.
     pub fn addr_stream(&self, stride_bits: u32, conf: &ConfidenceParams) -> Vec<u8> {
-        let mut table = TwoDeltaStride::with_confidence(
-            stride_bits,
-            SatCounter::with_params(conf.max, conf.inc, conf.dec, conf.threshold),
-        );
-        let preds = table.verdict_stream(self.load_indices().map(|i| (self.pc[i], self.ea[i])));
         let mut flags = vec![0u8; self.len()];
-        for (pred, i) in preds.into_iter().zip(self.load_indices()) {
-            flags[i] = u8::from(pred.confident) | (u8::from(pred.correct) << 1);
-        }
+        let tables = Predictors {
+            addr: Some(stride_table(stride_bits, conf)),
+            ..Predictors::default()
+        };
+        self.verdicts(F_LOAD, tables, |i, v| flags[i] = addr_flags(v));
         flags
     }
 
@@ -439,52 +614,39 @@ impl PreparedTrace {
     /// computed once and shared.
     pub fn real_value_stream(&self) -> &ValueStream {
         self.value_real.get_or_init(|| {
-            let valued: Vec<usize> = self
-                .load_indices()
-                .filter(|&i| self.flags[i] & F_VALUE != 0)
-                .collect();
-            let preds = TwoDeltaValue::paper_sized()
-                .verdict_stream(valued.iter().map(|&i| (self.pc[i], self.value[i])));
             let mut bypass = BitSet::new(self.len());
-            let mut stats = ValueSpecStats::default();
-            for (pred, &i) in preds.into_iter().zip(valued.iter()) {
-                if pred.confident && pred.correct {
+            let tables = Predictors {
+                value: Some(TwoDeltaValue::paper_sized()),
+                ..Predictors::default()
+            };
+            let tables = self.verdicts(F_LOAD, tables, |i, v| {
+                if v & VERDICT_VALUE_HIT != 0 {
                     bypass.set(i);
-                    stats.predicted_correct += 1;
-                } else if pred.confident {
-                    stats.predicted_incorrect += 1;
-                } else {
-                    stats.not_predicted += 1;
                 }
+            });
+            ValueStream {
+                bypass,
+                stats: tables.value_stats,
             }
-            ValueStream { bypass, stats }
         })
     }
 }
 
-/// Streaming-only flag bit: the instruction may absorb producers
-/// (collapse consumer). Whole-trace columns keep this fact in
-/// [`CollapseStatic`]; the streaming pre-pass folds it into its flag
-/// byte because bit 7 is free and the timing loop only ever masks.
-pub(crate) const F_STREAM_CONSUMER: u8 = 1 << 7;
-
 /// The sliding-window analysis pre-pass behind streaming simulation.
 ///
-/// Mirrors [`PreparedTrace::build`] one instruction at a time: the same
-/// flag bits, dependence rows, memory dependences, block numbering and
-/// predictor verdicts, but held in ring columns that
+/// Runs the same per-instruction walk and verdict step as
+/// [`PreparedTrace::build`] and its verdict streams, one instruction at
+/// a time, but appends the results to ring columns that
 /// [`StreamingPrepass::evict_to`] retires behind the simulator's
-/// watermark. Trace-order state that genuinely spans the whole run — the
-/// per-register last-writer table, the last-store-per-word map, the
-/// predictor tables and the run statistics — is O(machine), not O(trace),
-/// so peak memory is bounded by the live window no matter how long the
-/// trace is.
+/// watermark. The walk's trace-order state, the predictor tables and the
+/// run statistics are O(machine), not O(trace), so peak memory is
+/// bounded by the live window no matter how long the trace is.
 ///
 /// Dependence edges can point below the evicted horizon; that is fine by
 /// construction (see [`crate::stream`]): the timing loop reads an
-/// evicted producer's completion as "done long ago", and every fact this
-/// pass needs about a producer at push time (its `can_produce` bit) rides
-/// in the last-writer table instead of the columns.
+/// evicted producer's completion as "done long ago", and the one fact
+/// the walk needs about a producer (its can-produce bit) rides in its
+/// last-writer table instead of the columns.
 ///
 /// Unlike the whole-trace pre-pass, a streaming pass is built per
 /// configuration (it resolves latencies and predictor geometry up
@@ -497,68 +659,39 @@ pub struct StreamingPrepass {
     lat: RingVec<u8>,
     block: RingVec<u32>,
     mem_dep: RingVec<u32>,
-    row: RingVec<crate::simulator::ProducerRow>,
-    optype: RingVec<Option<ddsc_isa::OpType>>,
-    /// Packed predictor verdicts: bit 0 mispredicted branch, bits 1–2
-    /// address confident/correct, bit 3 value confident-and-correct.
+    row: RingVec<ProducerRow>,
+    optype: RingVec<Option<OpType>>,
+    /// Packed predictor verdicts (`VERDICT_*` bits).
     verdict: RingVec<u8>,
 
-    // Trace-order bookkeeping (bounded by the machine, not the trace).
-    last_writer: [Option<(u32, bool)>; ddsc_isa::Reg::COUNT],
-    store_map: FxHashMap<u32, u32>,
-    blocks: u32,
+    walk: Walk,
     latencies: Latencies,
-
-    // Predictor state, resolved from the config up front.
-    branch: Option<McFarling>,
-    addr: Option<TwoDeltaStride>,
-    value: Option<TwoDeltaValue>,
-    value_mode: crate::ValueSpecMode,
-
-    // Run statistics, final once the whole trace has been pushed.
-    branch_stats: BranchRunStats,
-    value_stats: ValueSpecStats,
-    loads_with_value: u64,
+    tables: Predictors,
+    value_mode: ValueSpecMode,
 }
-
-const VERDICT_MISPRED: u8 = 1 << 0;
-const VERDICT_ADDR_SHIFT: u8 = 1;
-const VERDICT_VALUE_BYPASS: u8 = 1 << 3;
 
 impl StreamingPrepass {
     /// A streaming pre-pass resolved against one configuration's
     /// latencies, predictor geometry and speculation modes.
-    pub fn new(config: &crate::SimConfig) -> Self {
+    pub fn new(config: &SimConfig) -> Self {
         StreamingPrepass {
             flags: RingVec::new(0),
             lat: RingVec::new(0),
             block: RingVec::new(0),
             mem_dep: RingVec::new(NO_DEP),
-            row: RingVec::new(crate::simulator::ProducerRow::default()),
+            row: RingVec::new(ProducerRow::default()),
             optype: RingVec::new(None),
             verdict: RingVec::new(0),
-            last_writer: [None; ddsc_isa::Reg::COUNT],
-            store_map: FxHashMap::default(),
-            blocks: 0,
+            walk: Walk::new(),
             latencies: config.latencies,
-            branch: (!config.perfect_branches).then(|| McFarling::new(config.predictor_n)),
-            addr: (config.load_spec == crate::LoadSpecMode::Real).then(|| {
-                TwoDeltaStride::with_confidence(
-                    config.stride_bits,
-                    SatCounter::with_params(
-                        config.confidence.max,
-                        config.confidence.inc,
-                        config.confidence.dec,
-                        config.confidence.threshold,
-                    ),
-                )
-            }),
-            value: (config.value_spec == crate::ValueSpecMode::Real)
-                .then(TwoDeltaValue::paper_sized),
+            tables: Predictors {
+                branch: (!config.perfect_branches).then(|| McFarling::new(config.predictor_n)),
+                addr: (config.load_spec == LoadSpecMode::Real)
+                    .then(|| stride_table(config.stride_bits, &config.confidence)),
+                value: (config.value_spec == ValueSpecMode::Real).then(TwoDeltaValue::paper_sized),
+                ..Predictors::default()
+            },
             value_mode: config.value_spec,
-            branch_stats: BranchRunStats::default(),
-            value_stats: ValueSpecStats::default(),
-            loads_with_value: 0,
         }
     }
 
@@ -573,117 +706,23 @@ impl StreamingPrepass {
     }
 
     /// Analyses one instruction, appending every column
-    /// [`PreparedTrace::build`] would have produced for it.
-    pub fn push(&mut self, inst: &ddsc_trace::TraceInst) {
-        let i = self.len() as u32;
-
-        let mut flags = 0u8;
-        if inst.is_load() {
-            flags |= F_LOAD;
-        }
-        if inst.is_store() {
-            flags |= F_STORE;
-        }
-        if inst.op.is_cond_branch() {
-            flags |= F_COND_BRANCH;
-        }
-        if inst.op.is_control() {
-            flags |= F_CONTROL;
-        }
-        if inst.taken {
-            flags |= F_TAKEN;
-        }
-        if inst.value.is_some() {
-            flags |= F_VALUE;
-        }
-        let can_produce = ddsc_collapse::can_produce(inst);
-        if can_produce {
-            flags |= F_CAN_PRODUCE;
-        }
-        if inst.op.class().is_collapsible_consumer() {
-            flags |= F_STREAM_CONSUMER;
-        }
-
-        // Predictor verdicts, trained in trace order exactly as the
-        // whole-trace verdict streams are.
-        let mut verdict = 0u8;
-        if flags & F_COND_BRANCH != 0 {
-            self.branch_stats.cond_branches += 1;
-            let correct = match &mut self.branch {
-                Some(p) => p.predict_and_train(inst.pc, inst.taken),
-                None => true,
-            };
-            if !correct {
-                verdict |= VERDICT_MISPRED;
-                self.branch_stats.mispredicted += 1;
-            }
-        }
-        if flags & F_LOAD != 0 {
-            if let Some(table) = &mut self.addr {
-                let pred = table.access(inst.pc, inst.ea.unwrap_or(0));
-                verdict |= (u8::from(pred.confident) | (u8::from(pred.correct) << 1))
-                    << VERDICT_ADDR_SHIFT;
-            }
-            if let Some(v) = inst.value {
-                self.loads_with_value += 1;
-                if let Some(table) = &mut self.value {
-                    let pred = table.access(inst.pc, v);
-                    if pred.confident && pred.correct {
-                        verdict |= VERDICT_VALUE_BYPASS;
-                        self.value_stats.predicted_correct += 1;
-                    } else if pred.confident {
-                        self.value_stats.predicted_incorrect += 1;
-                    } else {
-                        self.value_stats.not_predicted += 1;
-                    }
-                }
-            }
-        }
-
-        // Register dependence row: distinct producers in source order,
-        // each tagged with its absorb-slot code. The producer's
-        // `can_produce` bit rides in the last-writer table so the row is
-        // exact even when the producer's column has been evicted.
-        let mut row = crate::simulator::ProducerRow::default();
-        for r in inst.reg_sources() {
-            if let Some((prod, prod_can_produce)) = self.last_writer[r.index()] {
-                if !row.contains(prod) {
-                    let code = if prod_can_produce {
-                        encode_slots(&absorb_slots(inst, r))
-                    } else {
-                        0
-                    };
-                    row.push(prod, code);
-                }
-            }
-        }
-
-        // Memory dependence: the latest earlier store to this word.
-        let word = inst.ea.unwrap_or(0) & !3;
-        let mem_dep = if inst.is_load() {
-            self.store_map.get(&word).copied().unwrap_or(NO_DEP)
-        } else {
-            NO_DEP
-        };
-
-        self.flags.push(flags);
+    /// [`PreparedTrace::build`] and its verdict streams would have
+    /// produced for it.
+    pub fn push(&mut self, inst: &TraceInst) {
+        let facts = self.walk.step(inst, |_| {});
+        let verdict = self.tables.step(
+            facts.flags,
+            inst.pc,
+            inst.ea.unwrap_or(0),
+            inst.value.unwrap_or(0),
+        );
+        self.flags.push(facts.flags);
         self.lat.push(self.latencies.of(inst.op));
-        self.block.push(self.blocks);
-        self.mem_dep.push(mem_dep);
-        self.row.push(row);
-        self.optype.push(inst.optype());
+        self.block.push(facts.block);
+        self.mem_dep.push(facts.mem_dep);
+        self.row.push(facts.row);
+        self.optype.push(facts.optype);
         self.verdict.push(verdict);
-
-        // Trace-order bookkeeping for later instructions.
-        if let Some(d) = inst.dest {
-            self.last_writer[d.index()] = Some((i, can_produce));
-        }
-        if inst.is_store() {
-            self.store_map.insert(word, i);
-        }
-        if inst.op.is_control() {
-            self.blocks += 1;
-        }
     }
 
     /// Retires every column strictly below `below`; reads of evicted
@@ -717,51 +756,49 @@ impl StreamingPrepass {
         }
     }
 
-    pub(crate) fn producer_row(&self, i: usize) -> crate::simulator::ProducerRow {
+    pub(crate) fn producer_row(&self, i: usize) -> ProducerRow {
         self.row.get(i).copied().unwrap_or_default()
     }
 
-    pub(crate) fn optype_of(&self, i: usize) -> Option<ddsc_isa::OpType> {
+    pub(crate) fn optype_of(&self, i: usize) -> Option<OpType> {
         self.optype.get(i).copied().flatten()
     }
 
+    fn verdict(&self, i: usize) -> u8 {
+        self.verdict.get(i).copied().unwrap_or(0)
+    }
+
     pub(crate) fn mispredicted(&self, i: usize) -> bool {
-        self.verdict.get(i).copied().unwrap_or(0) & VERDICT_MISPRED != 0
+        self.verdict(i) & VERDICT_MISPRED != 0
     }
 
     pub(crate) fn load_pred(&self, i: usize) -> u8 {
-        (self.verdict.get(i).copied().unwrap_or(0) >> VERDICT_ADDR_SHIFT) & 3
+        addr_flags(self.verdict(i))
     }
 
-    /// Whether producer `i`'s value is predicted at dispatch under the
-    /// configured mode. Evicted producers answer `false`, which cannot
-    /// move a bit (their dependence already resolves at cycle 0).
-    pub(crate) fn value_bypass(&self, i: usize) -> bool {
-        match self.value_mode {
-            crate::ValueSpecMode::Off => false,
-            crate::ValueSpecMode::Ideal => self.flags(i) & (F_LOAD | F_VALUE) == F_LOAD | F_VALUE,
-            crate::ValueSpecMode::IdealAll => self.flags(i) & F_VALUE != 0,
-            crate::ValueSpecMode::Real => {
-                self.verdict.get(i).copied().unwrap_or(0) & VERDICT_VALUE_BYPASS != 0
-            }
-        }
+    pub(crate) fn value_mode(&self) -> ValueSpecMode {
+        self.value_mode
+    }
+
+    pub(crate) fn value_hit(&self, i: usize) -> bool {
+        self.verdict(i) & VERDICT_VALUE_HIT != 0
     }
 
     /// Final branch-run totals (exact once the whole trace is pushed).
     pub(crate) fn branch_stats(&self) -> BranchRunStats {
-        self.branch_stats
+        BranchRunStats {
+            cond_branches: self.walk.cond_branches,
+            mispredicted: self.tables.mispredicted,
+        }
     }
 
     /// Final value-speculation totals under the configured mode.
     pub(crate) fn value_stats(&self) -> ValueSpecStats {
-        match self.value_mode {
-            crate::ValueSpecMode::Off => ValueSpecStats::default(),
-            crate::ValueSpecMode::Ideal | crate::ValueSpecMode::IdealAll => ValueSpecStats {
-                predicted_correct: self.loads_with_value,
-                ..ValueSpecStats::default()
-            },
-            crate::ValueSpecMode::Real => self.value_stats,
-        }
+        value_stats(
+            self.value_mode,
+            self.walk.loads_with_value,
+            self.tables.value_stats,
+        )
     }
 }
 
@@ -957,32 +994,12 @@ mod tests {
         assert_eq!(p.real_value_stream().stats.total(), 0);
     }
 
-    #[test]
-    fn fingerprints_distinguish_traces() {
-        let a = PreparedTrace::build(&sample());
-        let mut t = sample();
-        t.push(TraceInst::alu(
-            24,
-            Opcode::Add,
-            r(6),
-            r(5),
-            None,
-            Some(1),
-            0,
-        ));
-        let b = PreparedTrace::build(&t);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_eq!(
-            a.fingerprint(),
-            PreparedTrace::build(&sample()).fingerprint()
-        );
-    }
-
     /// Drives a [`StreamingPrepass`] over `t` in `chunk`-sized pushes,
     /// evicting all but the `keep` newest columns after each chunk, and
     /// checks every live column bit-for-bit against the whole-trace
     /// [`PreparedTrace`] (flags, latencies, blocks, CSR dependence rows,
-    /// memory deps, and all three predictor verdict streams).
+    /// memory deps, operand patterns, and all three predictor verdict
+    /// streams).
     fn check_streaming_against_whole(t: &Trace, chunk: usize, keep: usize) {
         let p = PreparedTrace::build(t);
         let mut cfg = crate::SimConfig::paper(crate::PaperConfig::D, 8);
@@ -1000,16 +1017,12 @@ mod tests {
             }
             let end = sp.len();
             for i in compared..end {
-                assert_eq!(sp.flags(i) & !F_STREAM_CONSUMER, p.flags(i), "flags at {i}");
-                assert_eq!(
-                    sp.flags(i) & F_STREAM_CONSUMER != 0,
-                    p.collapse().is_consumer(i),
-                    "consumer flag at {i}"
-                );
+                assert_eq!(sp.flags(i), p.flags(i), "flags at {i}");
                 assert_eq!(sp.latency(i), lat[i], "latency at {i}");
                 assert_eq!(sp.block_of(i), p.block_of(i), "block at {i}");
                 assert_eq!(sp.mem_dep_of(i), p.mem_dep_of(i), "mem dep at {i}");
-                let mut row = crate::simulator::ProducerRow::default();
+                assert_eq!(sp.optype_of(i), p.optype_of(i), "pattern at {i}");
+                let mut row = ProducerRow::default();
                 for (&pr, &code) in p.producers_of(i).iter().zip(p.slot_codes_of(i)) {
                     row.push(pr, code);
                 }
@@ -1020,11 +1033,7 @@ mod tests {
                     "branch verdict at {i}"
                 );
                 assert_eq!(sp.load_pred(i), addr[i], "addr verdict at {i}");
-                assert_eq!(
-                    sp.value_bypass(i),
-                    value.bypass.get(i),
-                    "value verdict at {i}"
-                );
+                assert_eq!(sp.value_hit(i), value.bypass.get(i), "value verdict at {i}");
             }
             compared = end;
             sp.evict_to(end.saturating_sub(keep.max(1)));

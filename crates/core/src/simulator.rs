@@ -52,14 +52,15 @@
 //! possible.
 
 use ddsc_collapse::{decode_slots, CollapseOpts, CollapseStats, ExprState, SlotSet};
+use ddsc_isa::OpType;
 use ddsc_trace::Trace;
 use ddsc_util::{BitSet, RingBitSet, RingVec};
 
 use crate::cancel::{CancelObserver, CancelToken, Cancelled};
 use crate::metrics::{MetricsCollector, NoopObserver, SimMetrics, SimObserver, StallCause};
 use crate::prepass::{
-    BranchStream, PreparedTrace, DEFAULT_PREDICTOR_N, DEFAULT_STRIDE_BITS, F_CAN_PRODUCE,
-    F_COND_BRANCH, F_LOAD, F_VALUE,
+    self, BranchStream, PreparedTrace, ProducerRow, ValueStream, DEFAULT_PREDICTOR_N,
+    DEFAULT_STRIDE_BITS, F_CAN_PRODUCE, F_COND_BRANCH, F_CONSUMER, F_LOAD, F_VALUE,
 };
 use crate::stream::StreamError;
 use crate::{
@@ -534,43 +535,6 @@ impl Wheel {
     }
 }
 
-/// Which producers' results are value-predicted at dispatch, resolved
-/// per speculation mode against the prepared columns.
-enum ValueBypass<'a> {
-    Off,
-    /// Loads with traced values ([`ValueSpecMode::Ideal`]).
-    IdealLoads,
-    /// Every instruction with a traced value ([`ValueSpecMode::IdealAll`]).
-    IdealAll,
-    /// The real two-delta value table's confident-correct set.
-    Real(&'a BitSet),
-}
-
-/// A register-producer row copied to the stack: up to four deduplicated
-/// sources with their collapse slot codes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ProducerRow {
-    prods: [u32; 4],
-    codes: [u8; 4],
-    len: u8,
-}
-
-impl ProducerRow {
-    pub(crate) fn push(&mut self, prod: u32, code: u8) {
-        self.prods[self.len as usize] = prod;
-        self.codes[self.len as usize] = code;
-        self.len += 1;
-    }
-
-    pub(crate) fn contains(&self, prod: u32) -> bool {
-        self.prods[..self.len as usize].contains(&prod)
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (u32, u8)> + '_ {
-        (0..self.len as usize).map(|k| (self.prods[k], self.codes[k]))
-    }
-}
-
 /// A column view the generic timing loop runs against.
 ///
 /// Two implementations: the whole-trace view over a [`PreparedTrace`]
@@ -592,23 +556,54 @@ pub(crate) trait PreparedSource {
     fn readers_of(&self, i: usize) -> u32;
     fn mem_dep_of(&self, i: usize) -> Option<u32>;
     fn producer_row(&self, i: usize) -> ProducerRow;
-    fn is_collapse_consumer(&self, i: usize) -> bool;
-    fn collapse_leaf(&self, i: usize, opts: &CollapseOpts) -> Option<ExprState>;
+    /// The operand pattern of instruction `i` (`None` for operations
+    /// that never collapse).
+    fn optype_of(&self, i: usize) -> Option<OpType>;
     /// Branch-misprediction verdict for a conditional branch at `i`.
     fn mispredicted(&self, i: usize) -> bool;
     /// Address-prediction flags (bit0 confident, bit1 correct); only
     /// consulted under [`LoadSpecMode::Real`].
     fn load_pred(&self, i: usize) -> u8;
-    /// Whether producer `i`'s value is predicted at dispatch. Evicted
-    /// producers report `false` — their dependence resolves at cycle 0
-    /// either way, so the answer cannot move a bit.
-    fn value_bypass(&self, i: usize) -> bool;
+    /// The run's value-speculation mode.
+    fn value_mode(&self) -> ValueSpecMode;
+    /// The value table's confident-correct verdict for producer `i`;
+    /// only consulted under [`ValueSpecMode::Real`].
+    fn value_hit(&self, i: usize) -> bool;
     /// Columns below `below` will never be read again.
     fn release(&mut self, below: usize);
     /// Run-wide branch statistics (final totals at end of trace).
     fn branch_stats(&self) -> BranchRunStats;
     /// Run-wide value-speculation statistics (final totals).
     fn value_stats(&self) -> ValueSpecStats;
+
+    /// Whether instruction `i` may absorb producers.
+    #[inline]
+    fn is_collapse_consumer(&self, i: usize) -> bool {
+        self.flags(i) & F_CONSUMER != 0
+    }
+
+    /// The leaf [`ExprState`] of instruction `i` under the device
+    /// parameters; `None` for pattern-less instructions.
+    #[inline]
+    fn collapse_leaf(&self, i: usize, opts: &CollapseOpts) -> Option<ExprState> {
+        self.optype_of(i)
+            .map(|t| ExprState::leaf_from(i as u32, t, opts))
+    }
+
+    /// Whether producer `i`'s value is predicted at dispatch: every
+    /// traced load ([`ValueSpecMode::Ideal`]), every traced result
+    /// ([`ValueSpecMode::IdealAll`]) or the value table's verdict.
+    /// Evicted producers report `false` — their dependence resolves at
+    /// cycle 0 either way, so the answer cannot move a bit.
+    #[inline]
+    fn value_bypass(&self, i: usize) -> bool {
+        match self.value_mode() {
+            ValueSpecMode::Off => false,
+            ValueSpecMode::Ideal => self.flags(i) & (F_LOAD | F_VALUE) == F_LOAD | F_VALUE,
+            ValueSpecMode::IdealAll => self.flags(i) & F_VALUE != 0,
+            ValueSpecMode::Real => self.value_hit(i),
+        }
+    }
 }
 
 /// Why the generic loop stopped early.
@@ -626,8 +621,9 @@ struct WholeView<'a> {
     branches: BranchRunStats,
     load_pred: &'a [u8],
     lat: &'a [u8],
-    bypass: ValueBypass<'a>,
-    values: ValueSpecStats,
+    value_mode: ValueSpecMode,
+    /// The value table's run, under [`ValueSpecMode::Real`] only.
+    real_values: Option<&'a ValueStream>,
 }
 
 impl PreparedSource for WholeView<'_> {
@@ -674,13 +670,8 @@ impl PreparedSource for WholeView<'_> {
     }
 
     #[inline]
-    fn is_collapse_consumer(&self, i: usize) -> bool {
-        self.p.collapse().is_consumer(i)
-    }
-
-    #[inline]
-    fn collapse_leaf(&self, i: usize, opts: &CollapseOpts) -> Option<ExprState> {
-        self.p.collapse().leaf(i, opts)
+    fn optype_of(&self, i: usize) -> Option<OpType> {
+        self.p.optype_of(i)
     }
 
     #[inline]
@@ -693,14 +684,13 @@ impl PreparedSource for WholeView<'_> {
         self.load_pred[i]
     }
 
+    fn value_mode(&self) -> ValueSpecMode {
+        self.value_mode
+    }
+
     #[inline]
-    fn value_bypass(&self, i: usize) -> bool {
-        match &self.bypass {
-            ValueBypass::Off => false,
-            ValueBypass::IdealLoads => self.p.flags(i) & (F_LOAD | F_VALUE) == F_LOAD | F_VALUE,
-            ValueBypass::IdealAll => self.p.flags(i) & F_VALUE != 0,
-            ValueBypass::Real(bypass) => bypass.get(i),
-        }
+    fn value_hit(&self, i: usize) -> bool {
+        self.real_values.is_some_and(|s| s.bypass.get(i))
     }
 
     #[inline]
@@ -711,7 +701,8 @@ impl PreparedSource for WholeView<'_> {
     }
 
     fn value_stats(&self) -> ValueSpecStats {
-        self.values
+        let real = self.real_values.map(|s| s.stats).unwrap_or_default();
+        prepass::value_stats(self.value_mode, self.p.loads_with_value(), real)
     }
 }
 
@@ -865,28 +856,6 @@ fn whole_trace_run<O: SimObserver>(
         }
     };
 
-    let (bypass, values) = match config.value_spec {
-        ValueSpecMode::Off => (ValueBypass::Off, ValueSpecStats::default()),
-        ValueSpecMode::Ideal => (
-            ValueBypass::IdealLoads,
-            ValueSpecStats {
-                predicted_correct: prepared.loads_with_value(),
-                ..ValueSpecStats::default()
-            },
-        ),
-        ValueSpecMode::IdealAll => (
-            ValueBypass::IdealAll,
-            ValueSpecStats {
-                predicted_correct: prepared.loads_with_value(),
-                ..ValueSpecStats::default()
-            },
-        ),
-        ValueSpecMode::Real => {
-            let stream = prepared.real_value_stream();
-            (ValueBypass::Real(&stream.bypass), stream.stats)
-        }
-    };
-
     let owned_lat;
     let lat: &[u8] = if config.latencies == Latencies::default() {
         prepared.latencies()
@@ -901,8 +870,9 @@ fn whole_trace_run<O: SimObserver>(
         branches: branch.stats,
         load_pred,
         lat,
-        bypass,
-        values,
+        value_mode: config.value_spec,
+        real_values: (config.value_spec == ValueSpecMode::Real)
+            .then(|| prepared.real_value_stream()),
     };
     match run_timing_loop(&mut view, config, obs, step) {
         Ok(r) => Ok(r),

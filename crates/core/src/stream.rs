@@ -4,14 +4,16 @@
 //! and a [`PreparedTrace`](crate::prepass::PreparedTrace) — both O(trace
 //! length). This module runs the *same* timing loop against a sliding
 //! window instead: instructions are pulled from a [`TraceSource`] one
-//! chunk at a time, each chunk is validated and fed to the incremental
+//! chunk at a time, each chunk is validated and fed to the streaming
 //! pre-pass ([`StreamingPrepass`]), and columns below the retirement
 //! watermark are evicted as the simulator proves they can never be read
 //! again. Peak memory is O(window + chunk), not O(trace length).
 //!
 //! Bit-identity with the whole-trace path is structural, not argued:
-//! both paths are the one generic timing loop in [`crate::simulator`],
-//! differing only in the column view behind it, and the chunk-boundary
+//! the streaming pre-pass runs the whole-trace pre-pass's own
+//! per-instruction walk and verdict step, only into ring columns; both
+//! paths are the one generic timing loop in [`crate::simulator`],
+//! differing only in the column view behind it; and the chunk-boundary
 //! proptests pin the equivalence (including chunk size 1 and chunks
 //! larger than the trace).
 //!
@@ -38,14 +40,14 @@
 
 use std::fmt;
 
-use ddsc_collapse::{CollapseOpts, ExprState};
+use ddsc_isa::OpType;
 use ddsc_trace::{SourceError, TraceInst, TraceSource};
 
 use crate::metrics::NoopObserver;
-use crate::prepass::{StreamingPrepass, F_STREAM_CONSUMER};
-use crate::simulator::{run_timing_loop, PreparedSource, ProducerRow, RunError};
+use crate::prepass::{ProducerRow, StreamingPrepass};
+use crate::simulator::{run_timing_loop, PreparedSource, RunError};
 use crate::validate::{TraceValidator, ValidationError};
-use crate::{BranchRunStats, SimConfig, SimResult, ValueSpecStats};
+use crate::{BranchRunStats, SimConfig, SimResult, ValueSpecMode, ValueSpecStats};
 
 /// The default chunk size for streamed runs: large enough to amortise
 /// per-chunk overhead, small enough that a chunk is cache-resident.
@@ -155,15 +157,8 @@ impl PreparedSource for StreamView<'_> {
     }
 
     #[inline]
-    fn is_collapse_consumer(&self, i: usize) -> bool {
-        self.prep.flags(i) & F_STREAM_CONSUMER != 0
-    }
-
-    #[inline]
-    fn collapse_leaf(&self, i: usize, opts: &CollapseOpts) -> Option<ExprState> {
-        self.prep
-            .optype_of(i)
-            .map(|t| ExprState::leaf_from(i as u32, t, opts))
+    fn optype_of(&self, i: usize) -> Option<OpType> {
+        self.prep.optype_of(i)
     }
 
     #[inline]
@@ -176,9 +171,13 @@ impl PreparedSource for StreamView<'_> {
         self.prep.load_pred(i)
     }
 
+    fn value_mode(&self) -> ValueSpecMode {
+        self.prep.value_mode()
+    }
+
     #[inline]
-    fn value_bypass(&self, i: usize) -> bool {
-        self.prep.value_bypass(i)
+    fn value_hit(&self, i: usize) -> bool {
+        self.prep.value_hit(i)
     }
 
     #[inline]

@@ -213,8 +213,13 @@ struct CellEntry {
     /// not confirm their own computation.
     verifiers: HashSet<u64>,
     /// When the first candidate disagreement was observed, for the
-    /// unresolvable-conflict quarantine clock.
+    /// unresolvable-conflict quarantine clock. Set once per contested
+    /// cell and kept until the cell settles and records its incident.
     mismatch_since: Option<Instant>,
+    /// Contestants banned on another cell's vote while this cell was
+    /// contested: their candidates were purged, but this cell's
+    /// incident still names them.
+    purged: Vec<u64>,
 }
 
 #[derive(Debug)]
@@ -266,9 +271,11 @@ pub struct MismatchIncident {
     pub config: String,
     /// The contested cell's issue width.
     pub width: u32,
-    /// Candidate submitters, in submission order.
+    /// Candidate submitters, in submission order, then contestants whose
+    /// candidates were purged when another cell's vote banned them.
     pub workers: Vec<u64>,
-    /// The minority side of the resolved vote (empty if unresolved).
+    /// The minority side of the resolved vote (none if unresolved),
+    /// then the purged contestants.
     pub byzantine: Vec<u64>,
     /// Whether a tiebreak consensus settled the cell (false: the cell
     /// was quarantined with the conflict undecided).
@@ -297,8 +304,9 @@ pub struct DistReport {
     /// Cells merged only after a second distinct worker confirmed the
     /// canonical bytes.
     pub spot_checked: u64,
-    /// Spot-check byte mismatches observed (each one is a byzantine
-    /// incident; see `incidents`).
+    /// Spot-checked cells whose candidates disagreed, counted once per
+    /// cell. Each such cell records exactly one entry in `incidents`
+    /// when it settles, so the two agree once every cell has.
     pub mismatches: u64,
     /// Workers marked byzantine and drained from the run, in ban order.
     pub byzantine_workers: Vec<u64>,
@@ -491,6 +499,7 @@ impl Scheduler {
                     candidates: Vec::new(),
                     verifiers: HashSet::new(),
                     mismatch_since: None,
+                    purged: Vec::new(),
                 }
             })
             .collect();
@@ -615,7 +624,8 @@ impl Scheduler {
 
     /// Marks a worker byzantine: leases drained, results discarded,
     /// reconnects refused, and its held candidates on other cells
-    /// purged (they are known-bad).
+    /// purged (they are known-bad). A contested cell keeps its mismatch
+    /// and remembers the purge for its incident.
     fn mark_byzantine(&mut self, worker: u64) {
         if let Some(info) = self.workers.get_mut(&worker) {
             if info.banned {
@@ -628,14 +638,14 @@ impl Scheduler {
         }
         self.byzantine.push(worker);
         self.drain_leases(worker);
-        for ci in 0..self.cells.len() {
-            let entry = &mut self.cells[ci];
+        for entry in &mut self.cells {
             if matches!(entry.state, CellState::Done | CellState::Quarantined) {
                 continue;
             }
+            let held = entry.candidates.len();
             entry.candidates.retain(|c| c.worker != worker);
-            if entry.candidates.len() < 2 {
-                entry.mismatch_since = None;
+            if entry.candidates.len() < held && entry.mismatch_since.is_some() {
+                entry.purged.push(worker);
             }
         }
     }
@@ -698,6 +708,10 @@ impl Scheduler {
             entry.active_leases = 0;
             self.quarantined += 1;
             self.leases.retain(|l| l.cell != ci);
+            if self.cells[ci].mismatch_since.is_some() {
+                let workers = self.cells[ci].candidates.iter().map(|c| c.worker).collect();
+                self.record_incident(ci, workers, Vec::new(), false);
+            }
             return Some((spec, error));
         }
         if entry.active_leases == 0 && entry.state != CellState::Pending {
@@ -823,16 +837,39 @@ impl Scheduler {
             "spot-check mismatch unresolved: {} distinct result bodies from workers {workers:?}, no eligible tiebreak worker",
             self.cells[ci].candidates.len()
         );
+        self.record_incident(ci, workers, Vec::new(), false);
+        (spec, error)
+    }
+
+    /// Records contested cell `ci`'s one incident as it settles:
+    /// `workers` submitted bodies, `byzantine` lost the vote (empty when
+    /// unresolved), and every contestant purged by a ban elsewhere is
+    /// named in both.
+    fn record_incident(
+        &mut self,
+        ci: usize,
+        mut workers: Vec<u64>,
+        mut byzantine: Vec<u64>,
+        resolved: bool,
+    ) {
+        let entry = &mut self.cells[ci];
+        entry.mismatch_since = None;
+        for w in std::mem::take(&mut entry.purged) {
+            if !workers.contains(&w) {
+                workers.push(w);
+            }
+            byzantine.push(w);
+        }
+        let spec = &entry.spec;
         self.incidents.push(MismatchIncident {
             digest: spec.digest,
             bench: spec.bench.clone(),
             config: spec.config.clone(),
             width: spec.width,
             workers,
-            byzantine: Vec::new(),
-            resolved: false,
+            byzantine,
+            resolved,
         });
-        (spec, error)
     }
 
     /// Grants `worker` a lease on `ci`, with the deadline fixed now.
@@ -1077,9 +1114,9 @@ impl Scheduler {
         // Two or more distinct bodies: a byzantine incident. Every
         // candidate's pending trust is quarantined until the tiebreak
         // settles who was wrong.
-        self.mismatches += 1;
         if self.cells[ci].mismatch_since.is_none() {
             self.cells[ci].mismatch_since = Some(now);
+            self.mismatches += 1;
         }
         let suspects: Vec<u64> = self.cells[ci].candidates.iter().map(|c| c.worker).collect();
         for w in suspects {
@@ -1115,28 +1152,19 @@ impl Scheduler {
             .filter(|&(i, _)| i != winner)
             .map(|(_, c)| c.worker)
             .collect();
-        let had_mismatch = self.cells[ci].mismatch_since.is_some() || !minority.is_empty();
-        self.cells[ci].mismatch_since = None;
         for &w in &[winning_worker, confirmer] {
             if let Some(info) = self.workers.get_mut(&w) {
                 info.suspect = false;
             }
         }
-        if had_mismatch {
-            let spec = &self.cells[ci].spec;
+        // Two distinct bodies on file set the mismatch clock, so a
+        // minority implies a contested cell.
+        if self.cells[ci].mismatch_since.is_some() {
             let mut workers = submitters;
             if !workers.contains(&confirmer) {
                 workers.push(confirmer);
             }
-            self.incidents.push(MismatchIncident {
-                digest: spec.digest,
-                bench: spec.bench.clone(),
-                config: spec.config.clone(),
-                width: spec.width,
-                workers,
-                byzantine: minority.clone(),
-                resolved: true,
-            });
+            self.record_incident(ci, workers, minority.clone(), true);
         }
         for w in minority {
             self.mark_byzantine(w);
@@ -1734,6 +1762,84 @@ mod tests {
             Ingest::Duplicate
         ));
         assert!(!s.is_complete());
+    }
+
+    #[test]
+    fn a_purged_contest_still_records_its_incident() {
+        // The liar contests two spot-checked cells and loses the first
+        // tiebreak. Its ban purges its candidate from the second cell,
+        // which must still settle with one incident naming it.
+        let mut s = Scheduler::new(vec![spec(1), spec(2)], spot_opts());
+        let t = Instant::now();
+        let liar = s.register(0, t);
+        let honest = s.register(0, t);
+        let tiebreak = s.register(0, t);
+        let submit = |s: &mut Scheduler, worker: u64, cycles: u64| {
+            let Assignment::Cell(c) = s.next_assignment(worker, t) else {
+                panic!("expected a cell for worker {worker}");
+            };
+            s.submit_result(worker, c.digest, 0.1, &body_for(&c, cycles), t)
+        };
+        for (worker, cycles) in [(liar, 333), (liar, 333), (honest, 300), (honest, 300)] {
+            assert!(matches!(
+                submit(&mut s, worker, cycles),
+                Ingest::HeldForVerification
+            ));
+        }
+        assert_eq!(
+            s.report(0.0).mismatches,
+            2,
+            "one mismatch per contested cell"
+        );
+        // The first tiebreak bans the liar; the second cell now holds
+        // only the honest candidate, which the tiebreak confirms.
+        for _ in 0..2 {
+            assert!(matches!(
+                submit(&mut s, tiebreak, 300),
+                Ingest::Merged { .. }
+            ));
+        }
+        assert!(s.is_complete());
+        let report = s.report(1.0);
+        assert_eq!(report.byzantine_workers, vec![liar]);
+        assert_eq!(report.mismatches, 2);
+        assert_eq!(report.incidents.len(), 2);
+        for incident in &report.incidents {
+            assert!(incident.resolved);
+            assert_eq!(incident.byzantine, vec![liar], "{incident:?}");
+            assert!(incident.workers.contains(&liar), "{incident:?}");
+        }
+    }
+
+    #[test]
+    fn a_contested_cell_quarantined_as_poison_records_its_incident() {
+        let mut s = Scheduler::new(vec![spec(1)], spot_opts());
+        let t = Instant::now();
+        let workers: Vec<u64> = (0..4).map(|_| s.register(0, t)).collect();
+        for (&w, cycles) in workers[..2].iter().zip([300, 333]) {
+            let Assignment::Cell(c) = s.next_assignment(w, t) else {
+                panic!("expected a cell");
+            };
+            assert!(matches!(
+                s.submit_result(w, c.digest, 0.1, &body_for(&c, cycles), t),
+                Ingest::HeldForVerification
+            ));
+        }
+        // Both tiebreak workers fail on the cell, which reaches the
+        // poison threshold with its conflict undecided.
+        let mut last = None;
+        for &w in &workers[2..] {
+            let Assignment::Cell(c) = s.next_assignment(w, t) else {
+                panic!("expected the tiebreak re-dispatch");
+            };
+            last = Some(s.submit_failure(w, c.digest, "worker fault", t));
+        }
+        assert!(matches!(last, Some(Ingest::Quarantined { .. })));
+        let report = s.report(1.0);
+        assert_eq!(report.mismatches, 1);
+        assert_eq!(report.incidents.len(), 1);
+        assert!(!report.incidents[0].resolved);
+        assert_eq!(report.incidents[0].workers, workers[..2]);
     }
 
     #[test]

@@ -144,6 +144,8 @@ proptest! {
         prop_assert_eq!(report.cells_completed, cells.len());
         prop_assert_eq!(report.cells_quarantined, 0);
         prop_assert_eq!(report.revocation_false_positives, 0);
+        // Every contested cell records exactly one incident.
+        prop_assert_eq!(report.mismatches as usize, report.incidents.len());
         // If the liar ever got a cell in edgewise, it was caught.
         if report.mismatches > 0 {
             prop_assert_eq!(&report.byzantine_workers, &vec![byz]);
@@ -213,6 +215,11 @@ fn byzantine_worker_is_outvoted_end_to_end() {
     assert!(
         report.mismatches >= 1,
         "the liar was never even contradicted"
+    );
+    assert_eq!(
+        report.mismatches as usize,
+        report.incidents.len(),
+        "every contested cell records exactly one incident"
     );
     assert_eq!(report.byzantine_workers.len(), 1);
     let banned = report.byzantine_workers[0];

@@ -39,19 +39,6 @@ pub trait AddressPredictor {
 
     /// Resets all table state.
     fn reset(&mut self);
-
-    /// Runs the predictor over a `(pc, actual address)` load stream in
-    /// fetch order and returns the per-load predictions.
-    ///
-    /// Like the branch verdict stream, the result depends only on the
-    /// trace's load stream and the table geometry — never on issue width
-    /// or window size — so one stream serves a whole configuration grid.
-    fn verdict_stream(&mut self, loads: impl Iterator<Item = (u32, u32)>) -> Vec<AddrPrediction>
-    where
-        Self: Sized,
-    {
-        loads.map(|(pc, ea)| self.access(pc, ea)).collect()
-    }
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -28,23 +28,6 @@ pub trait DirectionPredictor {
         self.update(pc, taken);
         predicted == taken
     }
-
-    /// Runs the predictor over a `(pc, taken)` outcome stream in fetch
-    /// order and returns the per-branch correctness verdicts.
-    ///
-    /// The verdict stream is the *only* thing a window simulator needs
-    /// from the predictor — it depends on the outcome stream (a pure
-    /// function of the trace) and the predictor's own geometry, but not
-    /// on issue width or window size, so one stream serves a whole
-    /// configuration grid.
-    fn verdict_stream(&mut self, outcomes: impl Iterator<Item = (u32, bool)>) -> Vec<bool>
-    where
-        Self: Sized,
-    {
-        outcomes
-            .map(|(pc, taken)| self.predict_and_train(pc, taken))
-            .collect()
-    }
 }
 
 fn pc_index(pc: u32, bits: u32) -> usize {

@@ -33,16 +33,6 @@ pub trait ValuePredictor {
 
     /// Resets all table state.
     fn reset(&mut self);
-
-    /// Runs the predictor over a `(pc, actual value)` stream in fetch
-    /// order and returns the per-instance predictions. Width-invariant
-    /// for the same reason as the address verdict stream.
-    fn verdict_stream(&mut self, values: impl Iterator<Item = (u32, u32)>) -> Vec<ValuePrediction>
-    where
-        Self: Sized,
-    {
-        values.map(|(pc, v)| self.access(pc, v)).collect()
-    }
 }
 
 /// Lipasti-style last-value prediction with 2-bit confidence.

@@ -187,9 +187,9 @@ USAGE:
 Benchmarks: compress espresso eqntott li go ijpeg
 
 `sim --chunk-size C` streams the run: the workload VM is stepped
-lazily and the simulator holds only a sliding window of C-instruction
-chunks, so paper-scale traces (250M instructions) run in bounded
-memory with bit-identical results. `convergence` runs one cell
+lazily and the simulator holds one C-record pull buffer plus analysis
+columns that span its instruction window, so paper-scale traces (250M
+instructions) run in bounded memory with bit-identical results. `convergence` runs one cell
 (default li, config D, width 8) streamed at a ladder of trace
 lengths (default 300000,25000000,250000000), prints the IPC
 convergence table and writes the JSON payload to --out (default

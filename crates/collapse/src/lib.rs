@@ -37,5 +37,5 @@ pub use expr::{
     AbsorbSlot, CollapseCategory, CollapseOpts, ExprState, SlotSet, MAX_EXPR_OPS, MAX_MEMBERS,
 };
 pub use patterns::{PatternKey, PatternTable};
-pub use rules::{absorb_slots, can_produce, decode_slots, encode_slots};
+pub use rules::{absorb_slots, can_produce, decode_slots, encode_slots, slot_code};
 pub use stats::CollapseStats;

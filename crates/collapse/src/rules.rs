@@ -76,6 +76,63 @@ pub fn absorb_slots(consumer: &TraceInst, producer_dest: Reg) -> Vec<AbsorbSlot>
     slots
 }
 
+/// The [`encode_slots`] byte of [`absorb_slots`]`(consumer,
+/// producer_dest)`, built without the intermediate list: the pre-pass
+/// walk calls this once per dependence edge. [`absorb_slots`] stays the
+/// statement of the rules (the frozen reference simulator calls it) and
+/// the oracle this function is tested against.
+///
+/// # Examples
+///
+/// ```
+/// use ddsc_collapse::{absorb_slots, encode_slots, slot_code};
+/// use ddsc_trace::TraceInst;
+/// use ddsc_isa::{Opcode, Reg};
+///
+/// let add = TraceInst::alu(0, Opcode::Add, Reg::new(5), Reg::new(3), Some(Reg::new(3)), None, 0);
+/// let code = slot_code(&add, Reg::new(3));
+/// assert_eq!(code, encode_slots(&absorb_slots(&add, Reg::new(3))));
+/// ```
+pub fn slot_code(consumer: &TraceInst, producer_dest: Reg) -> u8 {
+    let via_operands = match consumer.op.class() {
+        OpClass::Arith | OpClass::Logic | OpClass::Shift | OpClass::Move | OpClass::Load => true,
+        // The data dependence is not collapsible and would remain.
+        OpClass::Store => consumer.data_reg != Some(producer_dest),
+        OpClass::CondBranch => {
+            return if producer_dest.is_icc() {
+                push_code(0, AbsorbSlot::Icc)
+            } else {
+                0
+            };
+        }
+        OpClass::Uncond | OpClass::Mul | OpClass::Div | OpClass::Nop => false,
+    };
+    let mut code = 0;
+    if via_operands {
+        for (reg, zero) in [(consumer.rs1, ZERO_RS1), (consumer.rs2, ZERO_RS2)] {
+            if reg == Some(producer_dest) {
+                let slot = if consumer.zero_flags & zero != 0 {
+                    AbsorbSlot::ZeroReg
+                } else {
+                    AbsorbSlot::Counted
+                };
+                code = push_code(code, slot);
+            }
+        }
+    }
+    code
+}
+
+/// Appends one slot to an [`encode_slots`] byte.
+fn push_code(code: u8, slot: AbsorbSlot) -> u8 {
+    let kind = match slot {
+        AbsorbSlot::Counted => 0u8,
+        AbsorbSlot::ZeroReg => 1,
+        AbsorbSlot::Icc => 2,
+    };
+    (code + 1) | kind << (2 + 2 * (code & 3))
+}
+
 /// Packs an absorb-slot list (at most two positions) into one byte:
 /// bits 0–1 hold the count, bits 2–3 and 4–5 one slot kind each.
 ///
@@ -85,16 +142,7 @@ pub fn absorb_slots(consumer: &TraceInst, producer_dest: Reg) -> Vec<AbsorbSlot>
 /// more.
 pub fn encode_slots(slots: &[AbsorbSlot]) -> u8 {
     assert!(slots.len() <= 2, "a dependence spans at most two operands");
-    let kind = |s: AbsorbSlot| match s {
-        AbsorbSlot::Counted => 0u8,
-        AbsorbSlot::ZeroReg => 1,
-        AbsorbSlot::Icc => 2,
-    };
-    let mut code = slots.len() as u8;
-    for (k, &s) in slots.iter().enumerate() {
-        code |= kind(s) << (2 + 2 * k);
-    }
-    code
+    slots.iter().fold(0, |code, &s| push_code(code, s))
 }
 
 /// Unpacks an [`encode_slots`] byte; the slice view of the returned array
@@ -221,6 +269,61 @@ mod tests {
             let (decoded, count) = decode_slots(encode_slots(&slots));
             assert_eq!(&decoded[..count], slots.as_slice(), "{slots:?}");
         }
+    }
+
+    #[test]
+    fn slot_code_matches_the_encoded_rules_on_every_operand_shape() {
+        let ops: Vec<Opcode> = (0..=u8::MAX)
+            .filter_map(|b| ddsc_trace::io::decode_op(b).ok())
+            .collect();
+        assert_eq!(ops.len(), 33, "every opcode, each Bcc condition included");
+        // The second operand: none, %g0, the rs1 register again, another
+        // register, a zero and a non-zero immediate.
+        let seconds = [
+            (None, None),
+            (Some(Reg::G0), None),
+            (Some(r(1)), None),
+            (Some(r(2)), None),
+            (None, Some(0)),
+            (None, Some(-5)),
+        ];
+        // Producers: rs1's and rs2's registers, the store-data register,
+        // %icc and an unrelated register.
+        let producers = [r(1), r(2), r(3), Reg::ICC, r(9)];
+        let mut checked = 0;
+        for op in ops {
+            for rs1 in [None, Some(Reg::G0), Some(r(1))] {
+                for (rs2, imm) in seconds {
+                    for data_reg in [None, Some(r(1)), Some(r(3))] {
+                        for zero_flags in 0..=3 {
+                            let consumer = TraceInst {
+                                pc: 0,
+                                op,
+                                dest: None,
+                                rs1,
+                                rs2,
+                                imm,
+                                data_reg,
+                                zero_flags,
+                                ea: None,
+                                taken: false,
+                                target: 0,
+                                value: None,
+                            };
+                            for producer in producers {
+                                assert_eq!(
+                                    slot_code(&consumer, producer),
+                                    encode_slots(&absorb_slots(&consumer, producer)),
+                                    "{consumer:?} absorbing {producer}"
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 33 * 3 * 6 * 3 * 4 * 5);
     }
 
     #[test]

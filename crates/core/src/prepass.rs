@@ -39,7 +39,7 @@
 
 use std::sync::OnceLock;
 
-use ddsc_collapse::{absorb_slots, can_produce, encode_slots};
+use ddsc_collapse::{can_produce, slot_code};
 use ddsc_isa::{OpType, Reg};
 use ddsc_predict::{
     AddressPredictor, DirectionPredictor, McFarling, SatCounter, TwoDeltaStride, TwoDeltaValue,
@@ -133,7 +133,7 @@ struct Facts {
     /// The `F_*` bits.
     flags: u8,
     /// Register-dependence producers, deduplicated, in source order,
-    /// each with its absorb-slot code ([`encode_slots`]; 0 ⇔ not
+    /// each with its absorb-slot code ([`slot_code`]; 0 ⇔ not
     /// collapse-eligible).
     row: ProducerRow,
     /// The latest earlier store to the same word for a load, [`NO_DEP`]
@@ -181,7 +181,9 @@ impl Walk {
 
     /// Analyses the next instruction. `read` sees the producer of every
     /// register-source occurrence, repeats included (node elimination
-    /// compares against every read, not every distinct reader).
+    /// compares against every read, not every distinct reader). Nothing
+    /// here allocates, bar the store map's growth: the step runs once
+    /// per instruction in both layouts.
     fn step(&mut self, inst: &TraceInst, mut read: impl FnMut(u32)) -> Facts {
         let i = self.len;
         let produces = can_produce(inst);
@@ -202,12 +204,7 @@ impl Walk {
             if let Some((prod, prod_produces)) = self.last_writer[r.index()] {
                 read(prod);
                 if !row.contains(prod) {
-                    let code = if prod_produces {
-                        encode_slots(&absorb_slots(inst, r))
-                    } else {
-                        0
-                    };
-                    row.push(prod, code);
+                    row.push(prod, if prod_produces { slot_code(inst, r) } else { 0 });
                 }
             }
         }

@@ -4,10 +4,12 @@
 //! and a [`PreparedTrace`](crate::prepass::PreparedTrace) — both O(trace
 //! length). This module runs the *same* timing loop against a sliding
 //! window instead: instructions are pulled from a [`TraceSource`] one
-//! chunk at a time, each chunk is validated and fed to the streaming
-//! pre-pass ([`StreamingPrepass`]), and columns below the retirement
-//! watermark are evicted as the simulator proves they can never be read
-//! again. Peak memory is O(window + chunk), not O(trace length).
+//! chunk at a time, each chunk is validated whole, each record is fed
+//! to the streaming pre-pass ([`StreamingPrepass`]) when the loop
+//! fetches it, and columns below the retirement watermark are evicted
+//! as the simulator proves they can never be read again. Peak memory is
+//! one chunk of records plus columns spanning the window, not O(trace
+//! length).
 //!
 //! Bit-identity with the whole-trace path is structural, not argued:
 //! the streaming pre-pass runs the whole-trace pre-pass's own
@@ -39,6 +41,7 @@
 //! ```
 
 use std::fmt;
+use std::ops::Range;
 
 use ddsc_isa::OpType;
 use ddsc_trace::{SourceError, TraceInst, TraceSource};
@@ -49,8 +52,11 @@ use crate::simulator::{run_timing_loop, PreparedSource, RunError};
 use crate::validate::{TraceValidator, ValidationError};
 use crate::{BranchRunStats, SimConfig, SimResult, ValueSpecMode, ValueSpecStats};
 
-/// The default chunk size for streamed runs: large enough to amortise
-/// per-chunk overhead, small enough that a chunk is cache-resident.
+/// The default chunk size for streamed runs: the records pulled from
+/// the source and validated per batch, large enough to amortise the
+/// per-pull call. The pull buffer is the stream's largest single
+/// buffer, `DEFAULT_CHUNK_SIZE × size_of::<TraceInst>()` = 2.75 MiB;
+/// the pre-pass columns span only the timing loop's window.
 pub const DEFAULT_CHUNK_SIZE: usize = 1 << 16;
 
 /// Why a streaming simulation could not complete.
@@ -87,39 +93,56 @@ impl From<SourceError> for StreamError {
 }
 
 /// The streaming column view: a [`TraceSource`] pulled chunk-by-chunk
-/// through validation into the incremental pre-pass.
+/// through validation, each record pre-passed when the loop fetches it.
 ///
 /// The source is a trait object, so the timing loop has one streaming
 /// instance whatever the source type. The source is called once per
-/// chunk (`ensure`), never per instruction.
+/// chunk, never per instruction; `ensure(i)` pre-passes the pulled
+/// records only up to `i`, so the pre-pass columns span the loop's
+/// `[watermark, fetch]` and the chunk buffer is the one O(chunk) store.
 struct StreamView<'a> {
     source: &'a mut dyn TraceSource,
     prep: StreamingPrepass,
     validator: TraceValidator,
+    /// The last pulled chunk.
     buf: Vec<TraceInst>,
+    /// The records of `buf` not pre-passed yet; non-empty only once the
+    /// whole chunk has validated.
+    pending: Range<usize>,
     chunk: usize,
     done: bool,
+}
+
+impl StreamView<'_> {
+    /// Pulls the next chunk and validates it whole; `Ok(false)` once the
+    /// source is drained.
+    fn pull(&mut self) -> Result<bool, StreamError> {
+        if self.done {
+            return Ok(false);
+        }
+        self.buf.clear();
+        let pulled = self.source.fill(&mut self.buf, self.chunk)?;
+        debug_assert_eq!(pulled, self.buf.len(), "fill must report what it appended");
+        if pulled == 0 {
+            self.done = true;
+            return Ok(false);
+        }
+        self.validator
+            .validate_slice(&self.buf, self.prep.len())
+            .map_err(StreamError::Validation)?;
+        self.pending = 0..pulled;
+        Ok(true)
+    }
 }
 
 impl PreparedSource for StreamView<'_> {
     fn ensure(&mut self, i: usize) -> Result<bool, StreamError> {
         while i >= self.prep.len() {
-            if self.done {
+            if self.pending.is_empty() && !self.pull()? {
                 return Ok(false);
             }
-            self.buf.clear();
-            let pulled = self.source.fill(&mut self.buf, self.chunk)?;
-            debug_assert_eq!(pulled, self.buf.len(), "fill must report what it appended");
-            if pulled == 0 {
-                self.done = true;
-                return Ok(false);
-            }
-            self.validator
-                .validate_slice(&self.buf, self.prep.len())
-                .map_err(StreamError::Validation)?;
-            for inst in &self.buf {
-                self.prep.push(inst);
-            }
+            self.prep.push(&self.buf[self.pending.start]);
+            self.pending.start += 1;
         }
         Ok(true)
     }
@@ -222,6 +245,7 @@ pub fn simulate_stream(
         prep: StreamingPrepass::new(config),
         validator: TraceValidator::new(),
         buf: Vec::new(),
+        pending: 0..0,
         chunk: chunk_size.max(1),
         done: false,
     };
@@ -311,6 +335,28 @@ mod tests {
         let err = simulate_stream(&mut FailingSource { emitted: 0 }, &config, 16)
             .expect_err("the source fault must propagate");
         assert!(matches!(err, StreamError::Source(_)), "{err}");
+    }
+
+    #[test]
+    fn a_chunk_that_fails_validation_stops_the_run_with_its_record_index() {
+        // Record 70 carries a value but no destination; with 16-record
+        // chunks it sits mid-way through the fifth pull.
+        let mut t = ddsc_trace::Trace::new("bad");
+        for (i, inst) in mixed_trace(100, 5).insts().iter().enumerate() {
+            let mut inst = *inst;
+            if i == 70 {
+                inst.dest = None;
+                inst.value = Some(1);
+            }
+            t.push(inst);
+        }
+        let config = SimConfig::paper(PaperConfig::D, 8);
+        let err = simulate_stream(&mut SliceSource::new(&t), &config, 16)
+            .expect_err("the invalid record must stop the run");
+        assert_eq!(
+            err,
+            StreamError::Validation(ValidationError::ValueWithoutDest { index: 70 })
+        );
     }
 
     #[test]

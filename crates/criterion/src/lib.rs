@@ -7,9 +7,9 @@
 //! [`criterion_group!`] / [`criterion_main!`] macros.
 //!
 //! Instead of criterion's adaptive sampling and statistics, each
-//! benchmark runs one warm-up iteration followed by `sample_size` timed
-//! iterations (capped by a per-benchmark time budget) and reports the
-//! minimum / mean / maximum wall-clock time plus derived throughput.
+//! benchmark runs three untimed iterations followed by `sample_size`
+//! timed iterations (capped by a per-benchmark time budget) and reports
+//! the minimum / mean / maximum wall-clock time plus derived throughput.
 //! That is enough to compare before/after numbers on the same host,
 //! which is all this repo's benches are for.
 
@@ -19,6 +19,12 @@ pub use std::hint::black_box;
 
 /// Maximum wall-clock budget spent measuring one benchmark.
 const TIME_BUDGET: Duration = Duration::from_secs(5);
+
+/// Untimed calls before a benchmark's first sample. One call leaves the
+/// first function of a group paying the allocator's first-touch costs
+/// in its samples (it read slower than a later function doing more
+/// work); three let every function reach its steady state first.
+const WARM_UP_CALLS: usize = 3;
 
 /// How the harness scales measured times into a rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,10 +138,12 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Times `routine`: one warm-up call, then up to `sample_size`
-    /// measured calls within the time budget.
+    /// Times `routine`: three untimed warm-up calls, then up to
+    /// `sample_size` measured calls within the time budget.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut routine: F) {
-        black_box(routine());
+        for _ in 0..WARM_UP_CALLS {
+            black_box(routine());
+        }
         let budget_start = Instant::now();
         self.samples.clear();
         for _ in 0..self.sample_size {
@@ -231,8 +239,29 @@ mod tests {
             })
         });
         group.finish();
-        // 1 warm-up + 5 samples.
-        assert_eq!(ran, 6);
+        // The warm-up calls, then 5 samples.
+        assert_eq!(ran, WARM_UP_CALLS as u32 + 5);
+    }
+
+    #[test]
+    fn no_sample_times_a_warm_up_call() {
+        // Every warm-up call sleeps far longer than a timed call can
+        // take, so a sample that timed one would show it.
+        let slow = Duration::from_millis(50);
+        let mut calls = 0;
+        let mut b = Bencher {
+            sample_size: 4,
+            samples: Vec::new(),
+        };
+        b.iter(|| {
+            calls += 1;
+            if calls <= WARM_UP_CALLS {
+                std::thread::sleep(slow);
+            }
+        });
+        assert_eq!(calls, WARM_UP_CALLS + 4);
+        assert_eq!(b.samples.len(), 4);
+        assert!(b.samples.iter().all(|&s| s < slow), "{:?}", b.samples);
     }
 
     #[test]

@@ -309,16 +309,20 @@ impl TraceInst {
     /// ```
     pub fn optype(&self) -> Option<OpType> {
         let class = PatClass::of(self.op)?;
-        let kinds: Vec<OperandKind> = match class {
-            PatClass::Brc => Vec::new(),
-            PatClass::Mv => self.src2_kind().into_iter().collect(),
-            _ => self
-                .rs1_kind()
-                .into_iter()
-                .chain(self.src2_kind())
-                .collect(),
+        // Built on the stack: the pre-pass walk calls this once per
+        // instruction.
+        let (first, second) = match class {
+            PatClass::Brc => (None, None),
+            PatClass::Mv => (self.src2_kind(), None),
+            _ => (self.rs1_kind(), self.src2_kind()),
         };
-        Some(OpType::new(class, &kinds))
+        let mut kinds = [OperandKind::Reg; 2];
+        let mut n = 0;
+        for k in [first, second].into_iter().flatten() {
+            kinds[n] = k;
+            n += 1;
+        }
+        Some(OpType::new(class, &kinds[..n]))
     }
 
     /// Number of counting (non-zero) source operands — this instruction's
@@ -478,6 +482,62 @@ mod tests {
         assert_eq!(i.optype().unwrap().to_string(), "mvi");
         assert_eq!(i.operand_count(), 1);
         assert_eq!(i.reg_sources().count(), 0);
+    }
+
+    /// The `Vec`-collecting derivation that `optype` replaced: the
+    /// oracle for the stack-built one.
+    fn optype_by_vec(i: &TraceInst) -> Option<OpType> {
+        let class = PatClass::of(i.op)?;
+        let kinds: Vec<OperandKind> = match class {
+            PatClass::Brc => Vec::new(),
+            PatClass::Mv => i.src2_kind().into_iter().collect(),
+            _ => i.rs1_kind().into_iter().chain(i.src2_kind()).collect(),
+        };
+        Some(OpType::new(class, &kinds))
+    }
+
+    #[test]
+    fn optype_matches_the_vec_derivation_on_every_operand_shape() {
+        let ops: Vec<Opcode> = (0..=u8::MAX)
+            .filter_map(|b| crate::io::decode_op(b).ok())
+            .collect();
+        assert_eq!(ops.len(), 33, "every opcode, each Bcc condition included");
+        let r = Reg::new;
+        // The second operand: none, %g0, a register, a zero and a
+        // non-zero immediate.
+        let seconds = [
+            (None, None),
+            (Some(Reg::G0), None),
+            (Some(r(2)), None),
+            (None, Some(0)),
+            (None, Some(-5)),
+        ];
+        let mut checked = 0;
+        for op in ops {
+            for rs1 in [None, Some(Reg::G0), Some(r(1))] {
+                for (rs2, imm) in seconds {
+                    for zero_flags in 0..=3 {
+                        let i = TraceInst {
+                            pc: 0,
+                            op,
+                            dest: None,
+                            rs1,
+                            rs2,
+                            imm,
+                            data_reg: None,
+                            zero_flags,
+                            ea: None,
+                            taken: false,
+                            target: 0,
+                            value: None,
+                        };
+                        assert_eq!(i.optype(), optype_by_vec(&i), "{i:?}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 33 * 3 * 5 * 4);
     }
 
     #[test]

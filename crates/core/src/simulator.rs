@@ -539,10 +539,11 @@ impl Wheel {
 ///
 /// Two implementations: the whole-trace view over a [`PreparedTrace`]
 /// (`ensure` is a bounds check, `release` a no-op) and the streaming
-/// view in [`crate::stream`] (`ensure` pulls and pre-passes the next
-/// chunk, `release` evicts columns behind the watermark). The loop only
-/// reads columns in `[watermark, fetch]`, which is the contract that
-/// makes `release` sound.
+/// view in [`crate::stream`] (`ensure` pre-passes pulled records up to
+/// `i`, pulling the next chunk when they run out; `release` evicts
+/// columns behind the watermark). The loop only reads columns in
+/// `[watermark, fetch]`, which is the contract that makes `release`
+/// sound and lets the streaming view pre-pass no further than `fetch`.
 pub(crate) trait PreparedSource {
     /// Makes instruction `i`'s columns available; `Ok(false)` means the
     /// trace ended before `i`.

@@ -783,6 +783,9 @@ fn distributed_prewarm(lab: &Lab, args: &[&str], nworkers: usize) -> Result<(), 
         if i < byzantine_workers {
             cmd.arg("--byzantine");
         }
+        // A worker's summary line goes to our stderr: stdout carries
+        // only the repro output, byte-identical to a local run's.
+        cmd.stdout(std::io::stderr());
         children.push(cmd.spawn()?);
     }
     // --abort-after-cells counts *merged* cells here: run_cell never

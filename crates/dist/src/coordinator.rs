@@ -53,7 +53,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ddsc_core::SimResult;
@@ -66,6 +66,10 @@ use crate::proto::{read_worker_msg, write_coord_msg, CellSpec, CoordMsg, WireErr
 /// the conflict is declared unresolvable and the cell quarantined.
 const MAX_CANDIDATES: usize = 4;
 
+/// How often the [`Coordinator`]'s monitor applies the scheduler's
+/// timeouts; a completed grid wakes it at once.
+const REAP_EVERY: Duration = Duration::from_millis(100);
+
 /// Tunables of the scheduler's failure model.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedOptions {
@@ -77,7 +81,12 @@ pub struct SchedOptions {
     /// Distinct workers a cell may strike (kill or fail on) before it
     /// is quarantined as failed.
     pub poison_threshold: usize,
-    /// Poll delay suggested to workers when nothing is dispatchable.
+    /// What [`Scheduler::next_assignment`] answers when nothing is
+    /// dispatchable: `Idle { wait_ms: idle_wait_ms }`. The
+    /// [`Coordinator`] holds such a request for up to this long, and
+    /// answers it as soon as a cell becomes dispatchable or the grid
+    /// completes; a hold that finds nothing answers `Idle { wait_ms: 0 }`.
+    /// Keep it well below the worker's 30 s read timeout.
     pub idle_wait_ms: u32,
     /// Derive lease deadlines from observed per-benchmark compute
     /// times (EWMA + p95) instead of the fixed `lease_timeout`.
@@ -1265,9 +1274,64 @@ pub struct DistSinks<'a> {
     pub on_quarantine: &'a (dyn Fn(&CellSpec, &str) + Sync),
 }
 
+/// What the monitor and the connection handlers share: the scheduler
+/// behind one lock, and two conditions on that lock.
 struct Shared {
     sched: Mutex<Scheduler>,
+    /// Notified when the grid completes. The monitor waits on it, with
+    /// [`REAP_EVERY`] as the timeout.
     complete: Condvar,
+    /// Notified when a cell may have become dispatchable (a result or
+    /// failure was ingested, timeouts were reaped, a worker
+    /// disconnected) or the grid completed. Held idle requests wait on
+    /// it, with what is left of their hold as the timeout.
+    dispatchable: Condvar,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Scheduler> {
+        self.sched.lock().expect("scheduler poisoned")
+    }
+
+    /// Releases the scheduler after a change that may have made a cell
+    /// dispatchable: wakes held requests, and the monitor too once the
+    /// grid is complete.
+    fn release(&self, sched: MutexGuard<'_, Scheduler>) {
+        let complete = sched.is_complete();
+        drop(sched);
+        self.dispatchable.notify_all();
+        if complete {
+            self.complete.notify_all();
+        }
+    }
+
+    /// Answers `worker`'s work request. When the scheduler has nothing
+    /// for it, the request is held, up to the `Idle` answer's
+    /// `wait_ms`, and asked again each time `dispatchable` is notified;
+    /// the wait releases the lock. A hold that finds nothing answers
+    /// `Idle { wait_ms: 0 }`: the coordinator has already waited.
+    fn next_assignment(&self, worker: u64, now: Instant) -> Assignment {
+        let mut sched = self.lock();
+        let hold = match sched.next_assignment(worker, now) {
+            Assignment::Idle { wait_ms } => Duration::from_millis(u64::from(wait_ms)),
+            assignment => return assignment,
+        };
+        loop {
+            let waited = now.elapsed();
+            if waited >= hold {
+                return Assignment::Idle { wait_ms: 0 };
+            }
+            sched = self
+                .dispatchable
+                .wait_timeout(sched, hold - waited)
+                .expect("scheduler poisoned")
+                .0;
+            match sched.next_assignment(worker, Instant::now()) {
+                Assignment::Idle { .. } => {}
+                assignment => return assignment,
+            }
+        }
+    }
 }
 
 /// The TCP face of the [`Scheduler`]: accepts worker connections,
@@ -1291,6 +1355,7 @@ impl Coordinator {
             shared: Shared {
                 sched: Mutex::new(Scheduler::new(cells, opts)),
                 complete: Condvar::new(),
+                dispatchable: Condvar::new(),
             },
         })
     }
@@ -1309,24 +1374,36 @@ impl Coordinator {
         let shared = &self.shared;
         let addr = self.addr;
         std::thread::scope(|s| {
-            // Reaper + completion monitor: applies the timeouts, sinks
-            // any quarantines, and unblocks the accept loop when the
-            // grid is complete.
-            s.spawn(|| loop {
-                let (quarantines, complete) = {
-                    let mut sched = shared.sched.lock().expect("scheduler poisoned");
-                    (sched.reap(Instant::now()), sched.is_complete())
-                };
-                for (spec, why) in &quarantines {
-                    (sinks.on_quarantine)(spec, why);
+            // Reaper + completion monitor: applies the timeouts every
+            // REAP_EVERY, sinks any quarantines, and unblocks the accept
+            // loop when the grid is complete. It checks completion and
+            // enters the wait under one lock hold, so the notification
+            // of the change that completes the grid cannot slip between
+            // the two.
+            s.spawn(|| {
+                let mut sched = shared.lock();
+                loop {
+                    let quarantines = sched.reap(Instant::now());
+                    shared.dispatchable.notify_all();
+                    if !quarantines.is_empty() {
+                        drop(sched);
+                        for (spec, why) in &quarantines {
+                            (sinks.on_quarantine)(spec, why);
+                        }
+                        sched = shared.lock();
+                    }
+                    if sched.is_complete() {
+                        break;
+                    }
+                    sched = shared
+                        .complete
+                        .wait_timeout(sched, REAP_EVERY)
+                        .expect("scheduler poisoned")
+                        .0;
                 }
-                if complete {
-                    stop.store(true, Ordering::SeqCst);
-                    shared.complete.notify_all();
-                    let _ = TcpStream::connect(addr); // unblock accept
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(100));
+                drop(sched);
+                stop.store(true, Ordering::SeqCst);
+                let _ = TcpStream::connect(addr); // unblock accept
             });
             for stream in self.listener.incoming() {
                 if stop.load(Ordering::SeqCst) {
@@ -1336,15 +1413,16 @@ impl Coordinator {
                 s.spawn(|| handle_conn(stream, shared, sinks));
             }
         });
-        let sched = shared.sched.lock().expect("scheduler poisoned");
+        let sched = shared.lock();
         sched.report(t0.elapsed().as_secs_f64())
     }
 }
 
 /// One worker connection: a strict request/response loop (heartbeats
-/// are one-way). Read timeouts double as a completion poll so handler
-/// threads always exit shortly after the grid finishes, even if their
-/// worker hangs mid-cell.
+/// are one-way). A request the scheduler has nothing for is held (see
+/// [`Shared::next_assignment`]). Read timeouts double as a completion
+/// poll so handler threads always exit shortly after the grid finishes,
+/// even if their worker hangs mid-cell.
 fn handle_conn(stream: TcpStream, shared: &Shared, sinks: &DistSinks<'_>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
@@ -1374,12 +1452,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared, sinks: &DistSinks<'_>) {
                 // No frame within the poll window. Once the grid is
                 // complete, give the worker a few windows to come back
                 // for its AllDone, then hang up.
-                let complete = shared
-                    .sched
-                    .lock()
-                    .expect("scheduler poisoned")
-                    .is_complete();
-                if complete {
+                if shared.lock().is_complete() {
                     quiet_ticks += 1;
                     if quiet_ticks > 10 {
                         break;
@@ -1403,40 +1476,30 @@ fn handle_conn(stream: TcpStream, shared: &Shared, sinks: &DistSinks<'_>) {
             WorkerMsg::Hello {
                 worker_id: want, ..
             } => {
-                let id = {
-                    let mut sched = shared.sched.lock().expect("scheduler poisoned");
-                    sched.register(want, now)
-                };
+                let id = shared.lock().register(want, now);
                 worker_id = id;
                 Some(CoordMsg::Welcome { worker_id: id })
             }
             WorkerMsg::Heartbeat { worker_id: w } => {
-                let mut sched = shared.sched.lock().expect("scheduler poisoned");
-                sched.heartbeat(w, now);
+                shared.lock().heartbeat(w, now);
                 None
             }
-            WorkerMsg::Request { worker_id: w } => {
-                let assignment = {
-                    let mut sched = shared.sched.lock().expect("scheduler poisoned");
-                    sched.next_assignment(w, now)
-                };
-                Some(match assignment {
-                    Assignment::Cell(spec) => CoordMsg::Assign(spec),
-                    Assignment::Idle { wait_ms } => CoordMsg::Idle { wait_ms },
-                    Assignment::AllDone => CoordMsg::AllDone,
-                })
-            }
+            WorkerMsg::Request { worker_id: w } => Some(match shared.next_assignment(w, now) {
+                Assignment::Cell(spec) => CoordMsg::Assign(spec),
+                Assignment::Idle { wait_ms } => CoordMsg::Idle { wait_ms },
+                Assignment::AllDone => CoordMsg::AllDone,
+            }),
             WorkerMsg::Result {
                 worker_id: w,
                 digest,
                 seconds_bits,
                 body,
             } => {
-                let ingest = {
-                    let mut sched = shared.sched.lock().expect("scheduler poisoned");
-                    sched.submit_result(w, digest, f64::from_bits(seconds_bits), &body, now)
-                };
-                settle(shared, sinks, ingest);
+                let mut sched = shared.lock();
+                let ingest =
+                    sched.submit_result(w, digest, f64::from_bits(seconds_bits), &body, now);
+                shared.release(sched);
+                settle(sinks, ingest);
                 Some(CoordMsg::Ack)
             }
             WorkerMsg::Failed {
@@ -1444,11 +1507,10 @@ fn handle_conn(stream: TcpStream, shared: &Shared, sinks: &DistSinks<'_>) {
                 digest,
                 error,
             } => {
-                let ingest = {
-                    let mut sched = shared.sched.lock().expect("scheduler poisoned");
-                    sched.submit_failure(w, digest, &error, now)
-                };
-                settle(shared, sinks, ingest);
+                let mut sched = shared.lock();
+                let ingest = sched.submit_failure(w, digest, &error, now);
+                shared.release(sched);
+                settle(sinks, ingest);
                 Some(CoordMsg::Ack)
             }
         };
@@ -1465,9 +1527,8 @@ fn handle_conn(stream: TcpStream, shared: &Shared, sinks: &DistSinks<'_>) {
     disconnect(shared, sinks, worker_id);
 }
 
-/// Runs the sinks for one settled ingest (outside the scheduler lock)
-/// and wakes the completion monitor.
-fn settle(shared: &Shared, sinks: &DistSinks<'_>, ingest: Ingest) {
+/// Runs the sinks for one settled ingest, outside the scheduler lock.
+fn settle(sinks: &DistSinks<'_>, ingest: Ingest) {
     match ingest {
         Ingest::Merged {
             spec,
@@ -1481,24 +1542,15 @@ fn settle(shared: &Shared, sinks: &DistSinks<'_>, ingest: Ingest) {
         | Ingest::HeldForVerification
         | Ingest::Unknown => {}
     }
-    let complete = shared
-        .sched
-        .lock()
-        .expect("scheduler poisoned")
-        .is_complete();
-    if complete {
-        shared.complete.notify_all();
-    }
 }
 
 fn disconnect(shared: &Shared, sinks: &DistSinks<'_>, worker_id: u64) {
     if worker_id == 0 {
         return;
     }
-    let quarantines = {
-        let mut sched = shared.sched.lock().expect("scheduler poisoned");
-        sched.disconnect(worker_id)
-    };
+    let mut sched = shared.lock();
+    let quarantines = sched.disconnect(worker_id);
+    shared.release(sched);
     for (spec, why) in &quarantines {
         (sinks.on_quarantine)(spec, why);
     }

@@ -151,7 +151,8 @@ pub enum CoordMsg {
     Assign(CellSpec),
     /// Answer to [`WorkerMsg::Request`] when nothing is dispatchable
     /// right now (everything leased, nothing stealable): ask again
-    /// after `wait_ms`.
+    /// after `wait_ms`. The [`Coordinator`](crate::Coordinator) sends
+    /// it with `wait_ms` 0, after it has held the request itself.
     Idle {
         /// Suggested poll delay in milliseconds.
         wait_ms: u32,

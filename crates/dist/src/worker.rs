@@ -27,7 +27,7 @@
 
 use std::io::{self, BufReader, Write as _};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -41,7 +41,10 @@ use crate::proto::{read_coord_msg, write_worker_msg, CellSpec, CoordMsg, WorkerM
 pub struct WorkerOptions {
     /// Coordinator address (`host:port`).
     pub connect: String,
-    /// Heartbeat period while computing.
+    /// Heartbeat period while a session lasts. Before each beat the
+    /// heartbeat thread waits this long for the session to end, so an
+    /// ended session (after `AllDone`, or before a reconnect) is not
+    /// held up by the period.
     pub heartbeat_every: Duration,
     /// Reconnect attempts before concluding the coordinator is gone.
     pub reconnect_attempts: usize,
@@ -145,15 +148,14 @@ pub fn run_worker(opts: &WorkerOptions) -> io::Result<WorkerSummary> {
 
         // Heartbeats flow from a side thread through the shared writer;
         // the mutex serializes them against the main request stream.
-        let stop = Arc::new(AtomicBool::new(false));
+        // Dropping `stop` ends the thread's wait at once.
+        let (stop, stopped) = mpsc::channel::<()>();
         let beat = {
             let writer = Arc::clone(&writer);
-            let stop = Arc::clone(&stop);
             let every = opts.heartbeat_every;
             let worker_id = summary.worker_id;
             std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(every);
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(every) {
                     if send(&writer, &WorkerMsg::Heartbeat { worker_id }).is_err() {
                         return;
                     }
@@ -162,7 +164,7 @@ pub fn run_worker(opts: &WorkerOptions) -> io::Result<WorkerSummary> {
         };
 
         let end = session(&mut reader, &writer, &mut summary, &runner, opts.byzantine);
-        stop.store(true, Ordering::SeqCst);
+        drop(stop);
         let _ = beat.join();
         match end {
             SessionEnd::AllDone => {

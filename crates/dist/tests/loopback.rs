@@ -4,14 +4,17 @@
 //! protocol clients playing misbehaving workers.
 
 use std::collections::HashMap;
+use std::io;
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use ddsc_core::simulate_prepared;
 use ddsc_dist::proto::{read_coord_msg, write_worker_msg};
 use ddsc_dist::{
-    run_worker, CellSpec, CoordMsg, Coordinator, DistSinks, SchedOptions, WorkerMsg, WorkerOptions,
+    run_worker, CellSpec, CoordMsg, Coordinator, DistSinks, SchedOptions, WireError, WorkerMsg,
+    WorkerOptions,
 };
 use ddsc_experiments::CellKey;
 
@@ -211,4 +214,133 @@ fn corrupt_result_is_rejected_and_cell_still_completes() {
         "the garbage body must be counted"
     );
     assert_eq!(merged.lock().unwrap().get(&digest), Some(&expected));
+}
+
+/// A raw-frames worker: says `Hello` and returns the welcomed stream
+/// with its id.
+fn hello(addr: std::net::SocketAddr, pid: u64) -> (TcpStream, u64) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_worker_msg(&mut stream, &WorkerMsg::Hello { worker_id: 0, pid }).unwrap();
+    let Some(CoordMsg::Welcome { worker_id }) = read_coord_msg(&mut stream).unwrap() else {
+        panic!("expected Welcome");
+    };
+    (stream, worker_id)
+}
+
+#[test]
+fn a_worker_returns_when_its_session_ends_not_after_a_heartbeat_period() {
+    let specs = vec![spec_for("compress", "A", 4, 1000)];
+    let coord = Coordinator::bind("127.0.0.1:0", specs, SchedOptions::default()).unwrap();
+    let opts = WorkerOptions {
+        heartbeat_every: Duration::from_secs(30),
+        ..WorkerOptions::new(coord.local_addr().to_string())
+    };
+    let merged = Mutex::new(HashMap::new());
+    let quarantines = Mutex::new(Vec::new());
+    let (report, summary, took) = thread::scope(|s| {
+        let run = s.spawn(|| collecting_run(coord, &quarantines, &merged));
+        let t0 = Instant::now();
+        let summary = run_worker(&opts).unwrap();
+        let took = t0.elapsed();
+        (run.join().unwrap(), summary, took)
+    });
+    assert_eq!(report.cells_completed, 1);
+    assert!(summary.all_done && summary.completed == 1, "{summary:?}");
+    // The heartbeat thread waits on the session's end, not on a sleep
+    // of `heartbeat_every`.
+    assert!(
+        took < Duration::from_secs(5),
+        "run_worker took {took:?} with a 30 s heartbeat period"
+    );
+}
+
+#[test]
+fn an_idle_request_is_held_until_a_cell_becomes_dispatchable() {
+    let spec = spec_for("compress", "A", 4, 1000);
+    let body = local_body(&spec);
+    let opts = SchedOptions {
+        idle_wait_ms: 10_000,
+        ..SchedOptions::default()
+    };
+    let coord = Coordinator::bind("127.0.0.1:0", vec![spec.clone()], opts).unwrap();
+    let addr = coord.local_addr();
+    // Not scoped: a failed check below must end the test, not wait on
+    // a run whose grid never completes.
+    let run = thread::spawn(move || {
+        let merged = Mutex::new(HashMap::new());
+        let quarantines = Mutex::new(Vec::new());
+        let report = collecting_run(coord, &quarantines, &merged);
+        (report, merged.into_inner().unwrap())
+    });
+
+    // Worker 1 leases the only cell.
+    let (mut w1, id1) = hello(addr, 1);
+    write_worker_msg(&mut w1, &WorkerMsg::Request { worker_id: id1 }).unwrap();
+    let Some(CoordMsg::Assign(leased)) = read_coord_msg(&mut w1).unwrap() else {
+        panic!("expected Assign");
+    };
+    assert_eq!(leased.digest, spec.digest);
+
+    // Worker 2 asks while that lease stands: no answer yet, where an
+    // unheld request would be answered `Idle` at once.
+    let (mut w2, id2) = hello(addr, 2);
+    write_worker_msg(&mut w2, &WorkerMsg::Request { worker_id: id2 }).unwrap();
+    w2.set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    match read_coord_msg(&mut w2) {
+        Err(WireError::Io(e))
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("the request must be held, got {other:?}"),
+    }
+
+    // Worker 1 fails the cell: the held request gets it, long before
+    // its 10 s hold is over.
+    write_worker_msg(
+        &mut w1,
+        &WorkerMsg::Failed {
+            worker_id: id1,
+            digest: spec.digest,
+            error: "injected".into(),
+        },
+    )
+    .unwrap();
+    let failed_at = Instant::now();
+    assert!(matches!(
+        read_coord_msg(&mut w1).unwrap(),
+        Some(CoordMsg::Ack)
+    ));
+    w2.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let answer = read_coord_msg(&mut w2).unwrap();
+    let took = failed_at.elapsed();
+    assert!(
+        matches!(&answer, Some(CoordMsg::Assign(s)) if s.digest == spec.digest),
+        "expected Assign of the failed cell, got {answer:?}"
+    );
+    assert!(
+        took < Duration::from_secs(5),
+        "answered {took:?} after the failure"
+    );
+
+    // Worker 2 completes the grid, so the run ends.
+    write_worker_msg(
+        &mut w2,
+        &WorkerMsg::Result {
+            worker_id: id2,
+            digest: spec.digest,
+            seconds_bits: 0.0f64.to_bits(),
+            body: body.clone(),
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        read_coord_msg(&mut w2).unwrap(),
+        Some(CoordMsg::Ack)
+    ));
+    drop((w1, w2));
+    let (report, merged) = run.join().unwrap();
+    assert_eq!(report.cells_completed, 1);
+    assert_eq!(merged.get(&spec.digest), Some(&body));
 }

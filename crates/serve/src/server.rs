@@ -8,17 +8,26 @@
 //!
 //! Corrupt input never kills the daemon: a frame that fails to decode
 //! gets a best-effort [`Response::Invalid`] and the connection is
-//! closed; the listener keeps serving everyone else.
+//! closed; the listener keeps serving everyone else. Neither can a
+//! client that stops reading: a response write that makes no progress
+//! for `WRITE_TIMEOUT` (2 s) closes its connection.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use ddsc_util::publish_atomic;
 
 use crate::engine::{Engine, EngineConfig, JobEvent, Outcome, Submission};
 use crate::proto::{read_request, write_response, Request, Response, StatsSnapshot, WireError};
+
+/// How long a handler's response write may make no progress before its
+/// connection is closed, so a client that stops reading cannot park the
+/// handler thread for good. The dist coordinator gives its connections
+/// the same.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A bound, ready-to-run service front end.
 pub struct Server {
@@ -125,6 +134,9 @@ fn request_stop(stop: &AtomicBool, addr: SocketAddr) {
 }
 
 fn handle_connection(stream: TcpStream, engine: &Engine, stop: &AtomicBool, addr: SocketAddr) {
+    // A timed-out write errors out of the loop below like any other
+    // failed send, and the connection closes.
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let reader = stream.try_clone();
     let Ok(reader) = reader else { return };
     let mut reader = BufReader::new(reader);
@@ -168,6 +180,10 @@ fn handle_connection(stream: TcpStream, engine: &Engine, stop: &AtomicBool, addr
             }
         }
     }
+    // Every answer sent was flushed; what is left unflushed is an answer
+    // whose write failed, and flushing it on drop would block on the
+    // same client once more.
+    drop(writer.into_parts());
 }
 
 fn handle_submit(

@@ -4,9 +4,9 @@
 //! listener on an ephemeral port.
 
 use std::io::{BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use ddsc_serve::proto::{read_response, write_request, Request, Response, SubmitRequest};
@@ -321,6 +321,52 @@ fn corrupt_frames_poison_one_connection_not_the_daemon() {
         client.submit_terminal(&cell(2)),
         Response::Result { .. }
     ));
+    stop.stop();
+}
+
+#[test]
+fn a_client_that_stops_reading_is_hung_up_on() {
+    let (addr, stop) = spawn_server(EngineConfig::default());
+    // The answers to this many `Stats` requests (~100 B each) overfill
+    // the socket buffers between server and client many times over.
+    const REQUESTS: usize = 400_000;
+    let mut requests = Vec::new();
+    for _ in 0..REQUESTS {
+        write_request(&mut requests, &Request::Stats).expect("encode");
+    }
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut sender = stream.try_clone().unwrap();
+    let (sent, sending) = mpsc::channel();
+    let send_all = std::thread::spawn(move || {
+        // Blocks once the server stops reading, which it does while its
+        // own write of an answer blocks on this client.
+        let result = sender.write_all(&requests);
+        let _ = sender.shutdown(Shutdown::Write);
+        let _ = sent.send(result);
+    });
+    // Read nothing until the server hangs up, which fails the send. A
+    // server that waits on its blocked write forever is read after 10 s,
+    // and then answers every request.
+    let hung_up = matches!(sending.recv_timeout(Duration::from_secs(10)), Ok(Err(_)));
+    let mut reader = BufReader::new(stream);
+    let mut answered = 0;
+    while let Ok(Some(resp)) = read_response(&mut reader) {
+        assert!(matches!(resp, Response::Stats(_)), "got {resp:?}");
+        answered += 1;
+    }
+    send_all.join().unwrap();
+    assert!(
+        hung_up && answered < REQUESTS,
+        "the connection must close before every answer arrives \
+         (hung up: {hung_up}, {answered} of {REQUESTS} answered)"
+    );
+    // The daemon still serves everyone else.
+    let mut client = Client::connect(addr);
+    client.send(&Request::Ping);
+    assert!(matches!(client.recv(), Response::Pong));
     stop.stop();
 }
 

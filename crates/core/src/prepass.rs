@@ -22,9 +22,9 @@
 //!   plus CSR edge lists and per-occurrence reader counts), shared by
 //!   every cell of a grid; its verdict streams run the verdict step over
 //!   those columns;
-//! * [`StreamingPrepass::push`] appends them to ring columns that the
-//!   streaming timing loop evicts behind its watermark, running the
-//!   verdict step inline.
+//! * [`StreamingPrepass::push`] appends them as one `Copy` row to a
+//!   ring that the streaming timing loop evicts behind its watermark,
+//!   running the verdict step inline.
 //!
 //! Predictor verdict streams are config-*class* dependent: they vary
 //! with table geometry (`predictor_n`, `stride_bits`, confidence
@@ -629,12 +629,28 @@ impl PreparedTrace {
     }
 }
 
+/// One instruction's facts in the streaming layout: a `Copy` row of the
+/// pre-pass ring. The default row is what an evicted position reads as:
+/// flags 0, no dependence.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StreamRow {
+    pub(crate) flags: u8,
+    /// Latency under the configured [`Latencies`].
+    pub(crate) lat: u8,
+    /// Packed predictor verdicts (`VERDICT_*` bits).
+    verdict: u8,
+    pub(crate) optype: Option<OpType>,
+    pub(crate) block: u32,
+    pub(crate) mem_dep: Option<u32>,
+    pub(crate) row: ProducerRow,
+}
+
 /// The sliding-window analysis pre-pass behind streaming simulation.
 ///
 /// Runs the same per-instruction walk and verdict step as
 /// [`PreparedTrace::build`] and its verdict streams, one instruction at
-/// a time, but appends the results to ring columns that
-/// [`StreamingPrepass::evict_to`] retires behind the simulator's
+/// a time, but appends each instruction's results as one row to a ring
+/// that [`StreamingPrepass::evict_to`] retires behind the simulator's
 /// watermark. The walk's trace-order state, the predictor tables and the
 /// run statistics are O(machine), not O(trace), so peak memory is
 /// bounded by the live window no matter how long the trace is.
@@ -643,7 +659,7 @@ impl PreparedTrace {
 /// construction (see [`crate::stream`]): the timing loop reads an
 /// evicted producer's completion as "done long ago", and the one fact
 /// the walk needs about a producer (its can-produce bit) rides in its
-/// last-writer table instead of the columns.
+/// last-writer table instead of the ring.
 ///
 /// Unlike the whole-trace pre-pass, a streaming pass is built per
 /// configuration (it resolves latencies and predictor geometry up
@@ -651,15 +667,8 @@ impl PreparedTrace {
 /// reader counts — [`crate::stream`]'s entry points reject such configs.
 #[derive(Debug)]
 pub struct StreamingPrepass {
-    // Ring columns, indexed by absolute instruction position.
-    flags: RingVec<u8>,
-    lat: RingVec<u8>,
-    block: RingVec<u32>,
-    mem_dep: RingVec<u32>,
-    row: RingVec<ProducerRow>,
-    optype: RingVec<Option<OpType>>,
-    /// Packed predictor verdicts (`VERDICT_*` bits).
-    verdict: RingVec<u8>,
+    /// One row per instruction, indexed by absolute position.
+    rows: RingVec<StreamRow>,
 
     walk: Walk,
     latencies: Latencies,
@@ -672,13 +681,7 @@ impl StreamingPrepass {
     /// latencies, predictor geometry and speculation modes.
     pub fn new(config: &SimConfig) -> Self {
         StreamingPrepass {
-            flags: RingVec::new(0),
-            lat: RingVec::new(0),
-            block: RingVec::new(0),
-            mem_dep: RingVec::new(NO_DEP),
-            row: RingVec::new(ProducerRow::default()),
-            optype: RingVec::new(None),
-            verdict: RingVec::new(0),
+            rows: RingVec::new(StreamRow::default()),
             walk: Walk::new(),
             latencies: config.latencies,
             tables: Predictors {
@@ -692,9 +695,9 @@ impl StreamingPrepass {
         }
     }
 
-    /// Instructions pushed so far (the exclusive end of the columns).
+    /// Instructions pushed so far (the exclusive end of the ring).
     pub fn len(&self) -> usize {
-        self.flags.end()
+        self.rows.end()
     }
 
     /// Whether no instruction has been pushed yet.
@@ -702,7 +705,7 @@ impl StreamingPrepass {
         self.len() == 0
     }
 
-    /// Analyses one instruction, appending every column
+    /// Analyses one instruction, appending one row with every column
     /// [`PreparedTrace::build`] and its verdict streams would have
     /// produced for it.
     pub fn push(&mut self, inst: &TraceInst) {
@@ -713,56 +716,31 @@ impl StreamingPrepass {
             inst.ea.unwrap_or(0),
             inst.value.unwrap_or(0),
         );
-        self.flags.push(facts.flags);
-        self.lat.push(self.latencies.of(inst.op));
-        self.block.push(facts.block);
-        self.mem_dep.push(facts.mem_dep);
-        self.row.push(facts.row);
-        self.optype.push(facts.optype);
-        self.verdict.push(verdict);
+        self.rows.push(StreamRow {
+            flags: facts.flags,
+            lat: self.latencies.of(inst.op),
+            verdict,
+            optype: facts.optype,
+            block: facts.block,
+            mem_dep: (facts.mem_dep != NO_DEP).then_some(facts.mem_dep),
+            row: facts.row,
+        });
     }
 
-    /// Retires every column strictly below `below`; reads of evicted
+    /// Retires every row strictly below `below`; reads of evicted
     /// positions return the neutral fill (flags 0, no dependence).
     pub fn evict_to(&mut self, below: usize) {
-        self.flags.evict_to(below);
-        self.lat.evict_to(below);
-        self.block.evict_to(below);
-        self.mem_dep.evict_to(below);
-        self.row.evict_to(below);
-        self.optype.evict_to(below);
-        self.verdict.evict_to(below);
+        self.rows.evict_to(below);
     }
 
-    pub(crate) fn flags(&self, i: usize) -> u8 {
-        self.flags.get(i).copied().unwrap_or(0)
-    }
-
-    pub(crate) fn latency(&self, i: usize) -> u8 {
-        self.lat.get(i).copied().unwrap_or(0)
-    }
-
-    pub(crate) fn block_of(&self, i: usize) -> u32 {
-        self.block.get(i).copied().unwrap_or(0)
-    }
-
-    pub(crate) fn mem_dep_of(&self, i: usize) -> Option<u32> {
-        match self.mem_dep.get(i).copied().unwrap_or(NO_DEP) {
-            NO_DEP => None,
-            s => Some(s),
-        }
-    }
-
-    pub(crate) fn producer_row(&self, i: usize) -> ProducerRow {
-        self.row.get(i).copied().unwrap_or_default()
-    }
-
-    pub(crate) fn optype_of(&self, i: usize) -> Option<OpType> {
-        self.optype.get(i).copied().flatten()
+    /// Instruction `i`'s row; an evicted position reads as the default.
+    #[inline]
+    pub(crate) fn at(&self, i: usize) -> StreamRow {
+        self.rows.get(i).copied().unwrap_or_default()
     }
 
     fn verdict(&self, i: usize) -> u8 {
-        self.verdict.get(i).copied().unwrap_or(0)
+        self.at(i).verdict
     }
 
     pub(crate) fn mispredicted(&self, i: usize) -> bool {
@@ -1014,16 +992,17 @@ mod tests {
             }
             let end = sp.len();
             for i in compared..end {
-                assert_eq!(sp.flags(i), p.flags(i), "flags at {i}");
-                assert_eq!(sp.latency(i), lat[i], "latency at {i}");
-                assert_eq!(sp.block_of(i), p.block_of(i), "block at {i}");
-                assert_eq!(sp.mem_dep_of(i), p.mem_dep_of(i), "mem dep at {i}");
-                assert_eq!(sp.optype_of(i), p.optype_of(i), "pattern at {i}");
+                let at = sp.at(i);
+                assert_eq!(at.flags, p.flags(i), "flags at {i}");
+                assert_eq!(at.lat, lat[i], "latency at {i}");
+                assert_eq!(at.block, p.block_of(i), "block at {i}");
+                assert_eq!(at.mem_dep, p.mem_dep_of(i), "mem dep at {i}");
+                assert_eq!(at.optype, p.optype_of(i), "pattern at {i}");
                 let mut row = ProducerRow::default();
                 for (&pr, &code) in p.producers_of(i).iter().zip(p.slot_codes_of(i)) {
                     row.push(pr, code);
                 }
-                assert_eq!(sp.producer_row(i), row, "producer row at {i}");
+                assert_eq!(at.row, row, "producer row at {i}");
                 assert_eq!(
                     sp.mispredicted(i),
                     branch.mispredicted.get(i),

@@ -33,23 +33,23 @@
 //! choose the observer (metrics, deadline) the loop is instantiated
 //! over.
 //!
-//! The loop itself is built for throughput: all per-instruction window
-//! state lives in structure-of-arrays ring columns (`Cols`) with
-//! fixed-capacity producer rows inlined (`Deps`) and consumer wake-up
-//! edges in an intrusive arena (`EdgeArena`), so fetch and issue
-//! touch no allocator and the hot scans walk contiguous memory;
-//! wake-ups go through a 512-bucket timing wheel with a bucket-occupancy
-//! bitmap (latencies are `u8`, so a completion is never more than 255
-//! cycles out and an idle skip never jumps further); idle stretches are
+//! The loop itself is built for throughput. The window is one ring of
+//! `Copy` rows (`Row`) with the pending-producer and collapse-candidate
+//! rows inline (`InlineRow`, their rare overflow in per-run arenas) and
+//! consumer wake-up edges in an intrusive list arena (`ListArena`), so
+//! fetch and issue touch no allocator once the arenas reach their peak.
+//! Wake-ups go through a 512-bucket timing wheel whose entries live in
+//! one list arena sized from the window, with a bucket-occupancy bitmap
+//! (latencies are `u8`, so a completion is never more than 255 cycles
+//! out and an idle skip never jumps further); idle stretches are
 //! skipped by jumping the cycle counter to the wheel's next occupied
 //! bucket (`Wheel::next_event`); the ready set is a ring bit set whose
-//! word-wise ascending drain yields oldest-first issue order for free;
-//! the loop is compiled once per (column view, observer) pair, with
-//! the observer's `CANCELLABLE` const specialising cancellation away
-//! and the issue width read from the config like every other machine
-//! parameter; and every column's storage tracks the live window span —
-//! which is exactly what makes the streaming view's bounded memory
-//! possible.
+//! word-wise ascending drain yields oldest-first issue order for free.
+//! The loop is compiled once per (column view, observer) pair, with the
+//! observer's `CANCELLABLE` const specialising cancellation away and the
+//! issue width read from the config like every other machine parameter,
+//! and the ring tracks the live window span — which is what makes the
+//! streaming view's bounded memory possible.
 
 use ddsc_collapse::{decode_slots, CollapseOpts, CollapseStats, ExprState, SlotSet};
 use ddsc_isa::OpType;
@@ -80,8 +80,123 @@ const NOT_DONE: u32 = u32::MAX;
 /// comparisons test `>= rc` with `rc >= cycle`), so reporting 0 is
 /// bit-identical to remembering the true cycle.
 #[inline]
-fn comp(completion: &RingVec<u32>, p: u32) -> u32 {
-    completion.get(p as usize).copied().unwrap_or(0)
+fn comp(rows: &RingVec<Row>, p: u32) -> u32 {
+    rows.get(p as usize).map_or(0, |r| r.completion)
+}
+
+/// List index meaning "not spilled" in an [`InlineRow`].
+const NO_SPILL: u32 = u32::MAX;
+
+/// The per-run side arena behind [`InlineRow`]s: one list per spilled
+/// row, recycled with its capacity when the row dies.
+///
+/// Overflow is rare — a pending-producer row outgrows its inline slots
+/// only through collapse inheritance in wide windows — so a run holds a
+/// few lists and allocates only while its peak grows.
+#[derive(Debug, Default)]
+struct Overflow<T> {
+    lists: Vec<Vec<T>>,
+    /// Emptied lists.
+    free: Vec<u32>,
+}
+
+/// A `Copy` row of up to `N` entries inline; a row that outgrows them
+/// moves all its entries to list `spill` of an [`Overflow`] arena and
+/// stays there. Copies of a row share the list, so the one copy in the
+/// window owns it and gives it back when the instruction issues
+/// ([`InlineRow::release`]).
+#[derive(Debug, Clone, Copy)]
+struct InlineRow<T, const N: usize> {
+    len: u32,
+    inline: [T; N],
+    spill: u32,
+}
+
+impl<T: Copy + Default, const N: usize> Default for InlineRow<T, N> {
+    fn default() -> Self {
+        InlineRow {
+            len: 0,
+            inline: [T::default(); N],
+            spill: NO_SPILL,
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> InlineRow<T, N> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    #[inline]
+    fn slice<'a>(&'a self, arena: &'a Overflow<T>) -> &'a [T] {
+        match self.spill {
+            NO_SPILL => &self.inline[..self.len()],
+            list => &arena.lists[list as usize],
+        }
+    }
+
+    #[inline]
+    fn slice_mut<'a>(&'a mut self, arena: &'a mut Overflow<T>) -> &'a mut [T] {
+        match self.spill {
+            NO_SPILL => &mut self.inline[..self.len as usize],
+            list => &mut arena.lists[list as usize],
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, v: T, arena: &mut Overflow<T>) {
+        let k = self.len();
+        if self.spill == NO_SPILL && k < N {
+            self.inline[k] = v;
+        } else {
+            if self.spill == NO_SPILL {
+                self.spill = arena.free.pop().unwrap_or_else(|| {
+                    arena.lists.push(Vec::new());
+                    arena.lists.len() as u32 - 1
+                });
+                arena.lists[self.spill as usize].extend_from_slice(&self.inline);
+            }
+            arena.lists[self.spill as usize].push(v);
+        }
+        self.len += 1;
+    }
+
+    fn pop(&mut self, arena: &mut Overflow<T>) {
+        self.len -= 1;
+        if self.spill != NO_SPILL {
+            arena.lists[self.spill as usize].pop();
+        }
+    }
+
+    /// Removes entry `k`, moving the last entry into its place.
+    #[inline]
+    fn swap_remove(&mut self, k: usize, arena: &mut Overflow<T>) {
+        let last = self.len() - 1;
+        self.slice_mut(arena).swap(k, last);
+        self.pop(arena);
+    }
+
+    /// Inserts `v` at position `k`, shifting the later entries up.
+    fn insert(&mut self, k: usize, v: T, arena: &mut Overflow<T>) {
+        self.push(v, arena);
+        self.slice_mut(arena)[k..].rotate_right(1);
+    }
+
+    /// Removes entry `k`, shifting the later entries down.
+    fn remove(&mut self, k: usize, arena: &mut Overflow<T>) {
+        self.slice_mut(arena)[k..].rotate_left(1);
+        self.pop(arena);
+    }
+
+    /// Gives the spill list back; the row is dead afterwards.
+    #[inline]
+    fn release(&self, arena: &mut Overflow<T>) {
+        if self.spill != NO_SPILL {
+            arena.lists[self.spill as usize].clear();
+            arena.free.push(self.spill);
+        }
+    }
 }
 
 /// Inline capacity of a dependence group's pending-producer row.
@@ -90,108 +205,60 @@ fn comp(completion: &RingVec<u32>, p: u32) -> u32 {
 /// producers plus a memory dependence plus a branch constraint — six —
 /// and an `addr` group at most the four register producers. Collapse
 /// inheritance can push a group past that (a consumer inherits its
-/// absorbed producer's own pending producers), so a heap `spill`
-/// catches the overflow; it stays `Vec::new()` (no allocation) on the
-/// hot path.
+/// absorbed producer's own pending producers), in wide windows on the
+/// benchmarks; the row then spills to the run's [`Overflow`] arena.
 const DEPS_INLINE: usize = 6;
 
-/// One dependence group as a packed SoA row: the resolved-ready floor,
-/// a fixed inline array of pending producers, and a rarely-touched
-/// spill for collapse-inherited overflow.
-///
-/// Replaces the `DepGroup { producers: Vec<u32>, ready }` per-entry
-/// struct: the row lives inline in a [`RingVec`] column, so the
-/// wake-up/issue scans touch contiguous memory and fetch allocates
-/// nothing.
-#[derive(Debug, Clone)]
+/// One dependence group: the resolved-ready floor and the pending
+/// producers, deduplicated, in an [`InlineRow`] (order is not
+/// meaningful: removal moves the last producer into the gap).
+#[derive(Debug, Clone, Copy, Default)]
 struct Deps {
     /// Max completion cycle among resolved producers.
     ready: u32,
-    /// Pending producers `inline[..inline_len]`, overflow in `spill`.
-    inline_len: u8,
-    inline: [u32; DEPS_INLINE],
-    spill: Vec<u32>,
+    pending: InlineRow<u32, DEPS_INLINE>,
 }
 
 impl Deps {
-    fn empty() -> Self {
-        Deps {
-            ready: 0,
-            inline_len: 0,
-            inline: [0; DEPS_INLINE],
-            spill: Vec::new(),
-        }
-    }
-
-    /// Number of pending (unresolved) producers.
-    #[inline]
-    fn pending(&self) -> usize {
-        self.inline_len as usize + self.spill.len()
-    }
-
-    #[inline]
-    fn contains(&self, p: u32) -> bool {
-        self.inline[..self.inline_len as usize].contains(&p) || self.spill.contains(&p)
-    }
-
     /// Adds producer `p` whose completion status is `c` (a [`comp`]
     /// lookup): resolved producers raise the ready floor, in-flight ones
     /// join the pending row.
     #[inline]
-    fn add(&mut self, p: u32, c: u32) {
+    fn add(&mut self, p: u32, c: u32, arena: &mut Overflow<u32>) {
         if c != NOT_DONE {
             self.ready = self.ready.max(c);
-        } else if !self.contains(p) {
-            if (self.inline_len as usize) < DEPS_INLINE {
-                self.inline[self.inline_len as usize] = p;
-                self.inline_len += 1;
-            } else {
-                self.spill.push(p);
-            }
+        } else if !self.pending.slice(arena).contains(&p) {
+            self.pending.push(p, arena);
         }
     }
 
-    /// Removes pending `p` if present (groups are deduplicated, so at
-    /// most one occurrence exists). Order within the row is not
-    /// meaningful — removal backfills from the tail.
-    fn remove(&mut self, p: u32) -> bool {
-        let il = self.inline_len as usize;
-        if let Some(k) = self.inline[..il].iter().position(|&x| x == p) {
-            if let Some(last) = self.spill.pop() {
-                self.inline[k] = last;
-            } else {
-                self.inline[k] = self.inline[il - 1];
-                self.inline_len -= 1;
-            }
-            true
-        } else if let Some(k) = self.spill.iter().position(|&x| x == p) {
-            self.spill.swap_remove(k);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Resolves `p` at completion cycle `at`; `false` when `p` is not
-    /// pending here (e.g. the dependence was rewritten by collapsing).
+    /// Resolves pending `p` at completion cycle `at` (groups are
+    /// deduplicated, so at most one occurrence exists); `false` when `p`
+    /// is not pending here (e.g. the dependence was rewritten by
+    /// collapsing).
     #[inline]
-    fn resolve(&mut self, p: u32, at: u32) -> bool {
-        if self.remove(p) {
-            self.ready = self.ready.max(at);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Iterates the pending producers (order is not meaningful).
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.inline[..self.inline_len as usize]
-            .iter()
-            .copied()
-            .chain(self.spill.iter().copied())
+    fn resolve(&mut self, p: u32, at: u32, arena: &mut Overflow<u32>) -> bool {
+        let Some(k) = self.pending.slice(arena).iter().position(|&x| x == p) else {
+            return false;
+        };
+        self.pending.swap_remove(k, arena);
+        self.ready = self.ready.max(at);
+        true
     }
 }
+
+/// Inline capacity of a collapse-candidate row.
+///
+/// A row holds distinct leaf producers of its expression, at most one
+/// more than the group's members, so it passes four entries only in a
+/// four-member group, which can absorb nothing more and be absorbed by
+/// nothing: its spilled entries are kept exact but never steer a result.
+const CANDS_INLINE: usize = 4;
+
+/// Unresolved producers a *later* consumer could still absorb
+/// transitively, with their operand slots inside this expression:
+/// newest first, each producer at most once (see [`add_candidate`]).
+type Cands = InlineRow<(u32, SlotSet), CANDS_INLINE>;
 
 /// Dependence index meaning "none" in an [`Attr`] row.
 const NO_DEP_IDX: u32 = u32::MAX;
@@ -208,8 +275,8 @@ struct Attr {
     branch_ready: u32,
 }
 
-impl Attr {
-    fn empty() -> Self {
+impl Default for Attr {
+    fn default() -> Self {
         Attr {
             mem_dep: NO_DEP_IDX,
             branch_dep: NO_DEP_IDX,
@@ -220,7 +287,7 @@ impl Attr {
     }
 }
 
-// Per-instruction state bits in the `state` column.
+// Per-instruction state bits in a row's `state`.
 /// In the wheel or ready set (all dependences resolved).
 const S_SCHEDULED: u8 = 1 << 0;
 /// Load-speculation lets this load ignore its `addr` group.
@@ -233,164 +300,124 @@ const S_PRED_CONF: u8 = 1 << 4;
 /// Address predictor was correct.
 const S_PRED_CORRECT: u8 = 1 << 5;
 
-/// Edge id meaning "end of list" in the consumer-edge arena.
-const NO_EDGE: u32 = u32::MAX;
-/// Consumer-field bit marking an address-group (vs main-group) edge.
+/// Node index meaning "end of list" in a [`ListArena`].
+const NIL: u32 = u32::MAX;
+/// Consumer bit marking an address-group (vs main-group) edge.
 const EDGE_ADDR: u32 = 1 << 31;
 
-/// One consumer edge: the consumer index (with [`EDGE_ADDR`] packed
-/// into bit 31) and the next edge of the same producer's list.
-#[derive(Debug, Clone, Copy)]
-struct EdgeNode {
-    cons: u32,
-    next: u32,
-}
-
-/// Arena of producer→consumer wake-up edges as intrusive singly-linked
-/// lists headed by the `cons_head` column.
-///
-/// Replaces the per-entry `consumers: Vec<(u32, bool)>`: fetch links a
-/// node in O(1) with no allocation (nodes are free-listed), and issue
-/// walks and frees the producer's list. List order is LIFO where the
-/// old vector was FIFO — safe because every notification effect is
-/// order-insensitive (max ready floors, set membership, wheel-bucket
-/// inserts whose per-bucket order is never observed).
-#[derive(Debug, Default)]
-struct EdgeArena {
-    nodes: Vec<EdgeNode>,
+/// Singly linked lists in one free-listed node arena, each list named
+/// by the index of its first node: a row's consumer edges, a wheel
+/// bucket's entries. A push reuses a freed node when there is one, so
+/// the arena allocates only while its peak grows.
+#[derive(Debug)]
+struct ListArena<T> {
+    /// Each node's entry and next node.
+    nodes: Vec<(T, u32)>,
     free: u32,
 }
 
-impl EdgeArena {
-    fn new() -> Self {
-        EdgeArena {
-            nodes: Vec::new(),
-            free: NO_EDGE,
+impl<T: Copy> ListArena<T> {
+    fn with_capacity(cap: usize) -> Self {
+        ListArena {
+            nodes: Vec::with_capacity(cap),
+            free: NIL,
         }
     }
 
-    /// Links consumer `cons` onto producer list `*head`.
-    fn link(&mut self, head: &mut u32, cons: u32, is_addr: bool) {
-        debug_assert!(cons < EDGE_ADDR, "consumer index overflows the tag bit");
-        let cons = cons | if is_addr { EDGE_ADDR } else { 0 };
-        let node = EdgeNode { cons, next: *head };
-        let idx = if self.free == NO_EDGE {
+    /// Pushes `v` onto the front of list `*head`.
+    fn push(&mut self, head: &mut u32, v: T) {
+        let node = (v, *head);
+        *head = if self.free == NIL {
             self.nodes.push(node);
             self.nodes.len() as u32 - 1
         } else {
-            let idx = self.free;
-            self.free = self.nodes[idx as usize].next;
-            self.nodes[idx as usize] = node;
-            idx
+            let n = self.free;
+            self.free = self.nodes[n as usize].1;
+            self.nodes[n as usize] = node;
+            n
         };
-        *head = idx;
     }
 
-    /// Returns node `idx` to the free list.
+    /// Pops the front of list `*head`, freeing its node.
     #[inline]
-    fn release(&mut self, idx: u32) {
-        self.nodes[idx as usize].next = self.free;
-        self.free = idx;
+    fn pop(&mut self, head: &mut u32) -> Option<T> {
+        let n = *head;
+        if n == NIL {
+            return None;
+        }
+        let (v, next) = self.nodes[n as usize];
+        self.nodes[n as usize].1 = self.free;
+        self.free = n;
+        *head = next;
+        Some(v)
+    }
+
+    /// The entries of list `head`, front first.
+    fn iter(&self, mut head: u32) -> impl Iterator<Item = T> + '_ {
+        std::iter::from_fn(move || {
+            (head != NIL).then(|| {
+                let (v, next) = self.nodes[head as usize];
+                head = next;
+                v
+            })
+        })
     }
 }
 
-/// The in-window per-instruction state as structure-of-arrays ring
-/// columns, all addressed by absolute instruction index and evicted in
-/// lockstep at the retirement watermark.
-///
-/// Replaces the slab `Window` of boxed `Entry` structs: a lookup is one
-/// direct column read instead of `slot_of` → slab → heap pointer
-/// chases, the wake-up and issue scans walk contiguous packed rows, and
-/// fetch/issue touch no allocator (producer rows are inlined in
-/// [`Deps`], consumer lists live in the [`EdgeArena`]).
-///
-/// "In window" is now a property of the `completion` column — an
-/// instruction is in the window iff its completion reads [`NOT_DONE`]
-/// (fetched, not yet issued or eliminated, not evicted) — so there is
-/// no membership structure to maintain at all.
-struct Cols {
+/// One instruction's in-window state, a row of the window's one ring:
+/// one capacity check per fetch, one range check per row read, one
+/// eviction at the retirement watermark. An instruction is in the
+/// window iff its `completion` reads [`NOT_DONE`] (fetched, not yet
+/// issued or eliminated, not evicted): there is no membership structure.
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
     /// Completion cycle, [`NOT_DONE`] while in flight.
-    completion: RingVec<u32>,
+    completion: u32,
     /// [`S_SCHEDULED`]-style flag bits.
-    state: RingVec<u8>,
+    state: u8,
     /// Cycle the instruction entered the window.
-    entry_cycle: RingVec<u32>,
+    entry_cycle: u32,
     /// Non-bypassable dependences: data operands, memory dependence,
     /// branch constraint. For loads this group excludes address
     /// generation.
-    main: RingVec<Deps>,
+    main: Deps,
     /// Address-generation dependences (loads only).
-    addr: RingVec<Deps>,
-    /// Stall-attribution rows.
-    attr: RingVec<Attr>,
+    addr: Deps,
+    attr: Attr,
     /// How many consumers absorbed this instruction (node elimination).
-    absorbed: RingVec<u32>,
-    /// Head of the consumer-edge list in `edges`.
-    cons_head: RingVec<u32>,
+    absorbed: u32,
+    /// This instruction's consumers in a [`ListArena`], tagged
+    /// [`EDGE_ADDR`] for the address group, newest first: every notify
+    /// effect is order-insensitive (max floors, set membership, wheel
+    /// inserts whose per-bucket order is never observed).
+    cons_head: u32,
     /// Collapse expression state (`None` for non-pattern ops or when
-    /// collapsing is off). `ExprState` is `Copy`, so it packs into the
-    /// column directly.
-    expr: RingVec<Option<ExprState>>,
-    /// Unresolved producers a *later* consumer could still absorb
-    /// transitively, with their operand slots inside this expression:
-    /// newest first, each producer at most once (see [`add_candidate`]).
-    /// The rows are recycled at issue, so ring-wrap overwrites only ever
-    /// drop empty ones.
-    cdeps: RingVec<Vec<(u32, SlotSet)>>,
-    edges: EdgeArena,
+    /// collapsing is off).
+    expr: Option<ExprState>,
+    cands: Cands,
 }
 
-impl Cols {
-    fn new(cap: usize) -> Self {
-        Cols {
-            completion: RingVec::with_capacity(NOT_DONE, cap),
-            state: RingVec::with_capacity(0, cap),
-            entry_cycle: RingVec::with_capacity(0, cap),
-            main: RingVec::with_capacity(Deps::empty(), cap),
-            addr: RingVec::with_capacity(Deps::empty(), cap),
-            attr: RingVec::with_capacity(Attr::empty(), cap),
-            absorbed: RingVec::with_capacity(0, cap),
-            cons_head: RingVec::with_capacity(NO_EDGE, cap),
-            expr: RingVec::with_capacity(None, cap),
-            cdeps: RingVec::with_capacity(Vec::new(), cap),
-            edges: EdgeArena::new(),
+impl Row {
+    /// Ready cycle from the row's floors.
+    #[inline]
+    fn ready_cycle(&self) -> u32 {
+        let r = self.entry_cycle.max(self.main.ready);
+        if self.state & S_BYPASS == 0 {
+            r.max(self.addr.ready)
+        } else {
+            r
         }
     }
 
-    /// Ready cycle of in-window instruction `i` from its packed rows.
+    /// Pending-dependence count.
     #[inline]
-    fn ready_cycle(&self, i: usize) -> u32 {
-        let mut r = *self.entry_cycle.get(i).expect("in-window row");
-        r = r.max(self.main.get(i).expect("in-window row").ready);
-        if *self.state.get(i).expect("in-window row") & S_BYPASS == 0 {
-            r = r.max(self.addr.get(i).expect("in-window row").ready);
-        }
-        r
-    }
-
-    /// Pending-dependence count of in-window instruction `i`.
-    #[inline]
-    fn blocking(&self, i: usize) -> usize {
-        self.main.get(i).expect("in-window row").pending()
-            + if *self.state.get(i).expect("in-window row") & S_BYPASS != 0 {
+    fn blocking(&self) -> usize {
+        self.main.pending.len()
+            + if self.state & S_BYPASS != 0 {
                 0
             } else {
-                self.addr.get(i).expect("in-window row").pending()
+                self.addr.pending.len()
             }
-    }
-
-    /// Evicts every column below the watermark in lockstep.
-    fn evict_to(&mut self, watermark: usize) {
-        self.completion.evict_to(watermark);
-        self.state.evict_to(watermark);
-        self.entry_cycle.evict_to(watermark);
-        self.main.evict_to(watermark);
-        self.addr.evict_to(watermark);
-        self.attr.evict_to(watermark);
-        self.absorbed.evict_to(watermark);
-        self.cons_head.evict_to(watermark);
-        self.expr.evict_to(watermark);
-        self.cdeps.evict_to(watermark);
     }
 }
 
@@ -408,17 +435,22 @@ const WHEEL_WORDS: usize = WHEEL_BUCKETS / 64;
 /// The pending set — scheduled instructions waiting for their ready
 /// cycle — as a timing wheel.
 ///
-/// Replaces a `BinaryHeap<Reverse<(rc, idx)>>`: push and drain are O(1)
-/// per entry instead of O(log n), and the drain naturally batches per
-/// cycle. Entries store their *raw* ready cycle even when bucketed later
-/// (a wake-up scheduled for the current cycle lands in the next
-/// drainable bucket — exactly when the heap would have surfaced it, see
-/// `drain_through`), so `peek_min` reproduces the heap's `(rc, idx)`
-/// ordering bit for bit.
+/// Push and drain are O(1) per entry, and the drain batches per cycle.
+/// Entries store their *raw* ready cycle even when bucketed later (a
+/// wake-up scheduled for the current cycle lands in the next drainable
+/// bucket — exactly when a `BinaryHeap<Reverse<(rc, idx)>>` would have
+/// surfaced it, see `drain_through`), so `peek_min` reproduces the
+/// heap's `(rc, idx)` ordering bit for bit.
+///
+/// Every bucket is a list of `(raw ready cycle, index)` through one
+/// [`ListArena`]. Its entries are scheduled, unissued instructions — a
+/// subset of the window — so the arena is sized from the window once
+/// and never grows.
 #[derive(Debug)]
 struct Wheel {
-    /// `buckets[c % WHEEL_BUCKETS]` holds `(raw ready cycle, index)`.
-    buckets: Vec<Vec<(u32, u32)>>,
+    /// First node of the list of bucket `c % WHEEL_BUCKETS`.
+    heads: [u32; WHEEL_BUCKETS],
+    entries: ListArena<(u32, u32)>,
     /// Bit per bucket slot: set iff that bucket is non-empty. Makes the
     /// next-event derivation an O([`WHEEL_WORDS`]) word scan instead of
     /// an O(buckets × occupancy) walk — this is what lets the idle-skip
@@ -431,11 +463,11 @@ struct Wheel {
 }
 
 impl Wheel {
-    fn new() -> Self {
+    /// A wheel for a window of `window` instructions.
+    fn new(window: usize) -> Self {
         Wheel {
-            buckets: std::iter::repeat_with(Vec::new)
-                .take(WHEEL_BUCKETS)
-                .collect(),
+            heads: [NIL; WHEEL_BUCKETS],
+            entries: ListArena::with_capacity(window),
             occupied: [0; WHEEL_WORDS],
             count: 0,
             next_drain: 0,
@@ -456,7 +488,7 @@ impl Wheel {
             self.next_drain
         );
         let slot = bucket as usize % WHEEL_BUCKETS;
-        self.buckets[slot].push((rc, idx));
+        self.entries.push(&mut self.heads[slot], (rc, idx));
         self.occupied[slot / 64] |= 1 << (slot % 64);
         self.count += 1;
     }
@@ -465,20 +497,18 @@ impl Wheel {
     ///
     /// Hops between occupied buckets via [`Wheel::next_event`] instead
     /// of visiting every cycle in `(next_drain..=cycle)`: after a long
-    /// idle skip most of that span is empty buckets, and the per-cycle
-    /// walk was the remaining O(span) cost. The drain order over
-    /// occupied buckets — and therefore the contents of `ready`, a set
-    /// — is unchanged, so results stay bit-identical (pinned by
+    /// idle skip most of that span is empty buckets. The drain order
+    /// over occupied buckets — and therefore the contents of `ready`, a
+    /// set — is unchanged, so results stay bit-identical (pinned by
     /// `tests/event_skip_identity.rs`).
     fn drain_through(&mut self, cycle: u32, ready: &mut RingBitSet) {
         while self.next_drain <= cycle {
             match self.next_event() {
                 Some(due) if due <= cycle => {
                     let slot = due as usize % WHEEL_BUCKETS;
-                    let bucket = &mut self.buckets[slot];
-                    self.count -= bucket.len();
-                    for (_, idx) in bucket.drain(..) {
+                    while let Some((_, idx)) = self.entries.pop(&mut self.heads[slot]) {
                         ready.set(idx as usize);
+                        self.count -= 1;
                     }
                     self.occupied[slot / 64] &= !(1 << (slot % 64));
                     self.next_drain = due + 1;
@@ -528,10 +558,9 @@ impl Wheel {
     /// non-empty bucket always contains the global minimum.
     fn peek_min(&self) -> Option<(u32, u32)> {
         let bucket = self.next_event()?;
-        self.buckets[bucket as usize % WHEEL_BUCKETS]
-            .iter()
+        self.entries
+            .iter(self.heads[bucket as usize % WHEEL_BUCKETS])
             .min()
-            .copied()
     }
 }
 
@@ -888,14 +917,20 @@ fn whole_trace_run<O: SimObserver>(
 ///
 /// Rows stay newest first with each producer at most once, so the
 /// greedy absorb scans a row in place, nearest producer first.
-fn add_candidate(row: &mut Vec<(u32, SlotSet)>, p: u32, slots: SlotSet, times: u16) {
-    let at = row.partition_point(|&(q, _)| q > p);
-    match row.get_mut(at) {
+fn add_candidate(
+    row: &mut Cands,
+    p: u32,
+    slots: SlotSet,
+    times: u16,
+    arena: &mut Overflow<(u32, SlotSet)>,
+) {
+    let at = row.slice(arena).partition_point(|&(q, _)| q > p);
+    match row.slice_mut(arena).get_mut(at) {
         Some((q, existing)) if *q == p => existing.add_times(slots, times),
         _ => {
             let mut set = SlotSet::default();
             set.add_times(slots, times);
-            row.insert(at, (p, set));
+            row.insert(at, (p, set), arena);
         }
     }
 }
@@ -928,8 +963,11 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
     };
 
     let ws = config.window_size as usize;
-    let mut cols = Cols::new(ws * 4);
-    let mut wheel = Wheel::new();
+    let mut rows = RingVec::with_capacity(Row::default(), ws * 4);
+    let mut edges = ListArena::with_capacity(0);
+    let mut dep_spill = Overflow::default();
+    let mut cand_spill = Overflow::default();
+    let mut wheel = Wheel::new(ws);
     let mut ready = RingBitSet::with_capacity(ws * 4);
     let mut last_mispred: Option<u32> = None;
     // Metrics-only (maintained when O::ENABLED): how many in-window
@@ -944,10 +982,6 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
     let mut collapse = CollapseStats::new();
     let mut participant = RingBitSet::with_capacity(ws * 4);
     let mut eliminated = 0u64;
-    // Emptied candidate rows returned at issue and reused at fetch, so a
-    // steady-state run allocates only while this warms up to window
-    // occupancy.
-    let mut spare_rows: Vec<Vec<(u32, SlotSet)>> = Vec::new();
 
     let mut fetch = 0usize;
     let mut exhausted = false;
@@ -961,18 +995,18 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
             return Err(RunError::Cancelled);
         }
 
-        // -- watermark: retire columns no live read can reach. Everything
+        // -- watermark: retire rows no live read can reach. Everything
         // below the first instruction whose completion is pending or
         // still in the future is dead to every remaining lookup. --
-        let mut watermark = cols.completion.base();
+        let mut watermark = rows.base();
         while watermark < fetch {
-            match cols.completion.get(watermark) {
-                Some(&c) if c != NOT_DONE && c < cycle => watermark += 1,
+            match rows.get(watermark) {
+                Some(r) if r.completion != NOT_DONE && r.completion < cycle => watermark += 1,
                 _ => break,
             }
         }
-        if watermark > cols.completion.base() {
-            cols.evict_to(watermark);
+        if watermark > rows.base() {
+            rows.evict_to(watermark);
             ready.evict_to(watermark);
             participant.evict_to(watermark);
             view.release(watermark);
@@ -991,11 +1025,10 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
             let i = fetch as u32;
             let pflags = view.flags(fetch);
             let is_load = pflags & F_LOAD != 0;
-            // Dependence rows are built in locals (no allocation: the
-            // producer rows are inline) and moved into the columns at
-            // the end of the fetch step.
-            let mut e_main = Deps::empty();
-            let mut e_addr = Deps::empty();
+            // The new row is built in locals and pushed at the end of
+            // the fetch step.
+            let mut e_main = Deps::default();
+            let mut e_addr = Deps::default();
 
             let row = view.producer_row(fetch);
             for (p, _) in row.iter() {
@@ -1004,11 +1037,11 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
                     // this dependence carries no latency.
                     continue;
                 }
-                let c = comp(&cols.completion, p);
+                let c = comp(&rows, p);
                 if is_load {
-                    e_addr.add(p, c);
+                    e_addr.add(p, c, &mut dep_spill);
                 } else {
-                    e_main.add(p, c);
+                    e_main.add(p, c, &mut dep_spill);
                 }
             }
             let mut data_floor = e_main.ready;
@@ -1017,7 +1050,7 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
                 // Which already-completed producer set the data floor,
                 // and was it a multiply/divide? Metrics-only.
                 for (p, _) in row.iter() {
-                    if comp(&cols.completion, p) == data_floor
+                    if comp(&rows, p) == data_floor
                         && !view.value_bypass(p as usize)
                         && view.flags(p as usize) & F_LOAD == 0
                         && view.latency(p as usize) > config.latencies.default
@@ -1027,10 +1060,10 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
                     }
                 }
             }
-            let mut a = Attr::empty();
+            let mut a = Attr::default();
             if let Some(s) = view.mem_dep_of(fetch) {
-                let c = comp(&cols.completion, s);
-                e_main.add(s, c);
+                let c = comp(&rows, s);
+                e_main.add(s, c, &mut dep_spill);
                 if c != NOT_DONE {
                     a.mem_ready = c;
                 } else {
@@ -1038,8 +1071,8 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
                 }
             }
             if let Some(b) = last_mispred {
-                let c = comp(&cols.completion, b);
-                e_main.add(b, c);
+                let c = comp(&rows, b);
+                e_main.add(b, c, &mut dep_spill);
                 if c != NOT_DONE {
                     a.branch_ready = c;
                 } else {
@@ -1057,18 +1090,16 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
             } else {
                 None
             };
-            let mut collapse_deps = spare_rows.pop().unwrap_or_default();
+            let mut cands = Cands::default();
             if expr.is_some() {
                 // Initial candidates: unresolved producers referenced by
                 // the base instruction through collapsible operands —
                 // exactly the nonzero-coded, still-pending edges.
                 for (p, code) in row.iter() {
-                    if code != 0
-                        && comp(&cols.completion, p) == NOT_DONE
-                        && !view.value_bypass(p as usize)
-                    {
+                    if code != 0 && comp(&rows, p) == NOT_DONE && !view.value_bypass(p as usize) {
                         let (slots, count) = decode_slots(code);
-                        add_candidate(&mut collapse_deps, p, SlotSet::of(&slots[..count]), 1);
+                        let set = SlotSet::of(&slots[..count]);
+                        add_candidate(&mut cands, p, set, 1, &mut cand_spill);
                     }
                 }
                 // Greedy absorb, nearest producer first, until nothing
@@ -1076,18 +1107,20 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
                 loop {
                     let cur = expr.as_ref().expect("expr present in collapse loop");
                     let mut chosen: Option<(usize, ExprState)> = None;
-                    for (k, &(p, slots)) in collapse_deps.iter().enumerate() {
+                    for (k, &(p, slots)) in cands.slice(&cand_spill).iter().enumerate() {
                         let pu = p as usize;
-                        // In-window is a completion-column property now:
-                        // anything issued, eliminated or evicted reads a
-                        // value other than NOT_DONE.
-                        if comp(&cols.completion, p) != NOT_DONE {
+                        // In-window is a completion property: anything
+                        // issued, eliminated or evicted is out.
+                        let Some(p_row) = rows.get(pu) else {
+                            continue;
+                        };
+                        if p_row.completion != NOT_DONE {
                             continue; // already issued
                         }
                         if config.collapse_within_block_only && view.block_of(pu) != block_id {
                             continue;
                         }
-                        let Some(p_expr) = cols.expr.get(pu).and_then(|o| o.as_ref()) else {
+                        let Some(p_expr) = p_row.expr.as_ref() else {
                             continue;
                         };
                         if let Some(merged) = cur.absorb_set(p_expr, slots, &opts) {
@@ -1096,36 +1129,35 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
                         }
                     }
                     let Some((k, merged)) = chosen else { break };
-                    let (p, slots) = collapse_deps.remove(k);
-                    let pu = p as usize;
-                    // Remove the collapsed dependence and inherit the
-                    // producer's own dependences (leaf availability).
-                    // The consumer's groups are still locals, so the
-                    // producer's column rows can be read directly while
-                    // the groups are extended — no scratch copies.
+                    let (p, slots) = cands.slice(&cand_spill)[k];
+                    cands.remove(k, &mut cand_spill);
+                    // Drop the collapsed dependence (resolving at cycle 0
+                    // leaves the floor alone) and inherit the producer's
+                    // own dependences (leaf availability) and its
+                    // transitive candidates, each slot list counted once
+                    // per operand slot the absorbed producer occupied.
+                    // The consumer's rows are still locals.
                     let group = if is_load { &mut e_addr } else { &mut e_main };
-                    group.remove(p);
-                    *cols.absorbed.get_mut(pu) += 1;
-                    let p_main = cols.main.get(pu).expect("in-window producer row");
+                    group.resolve(p, 0, &mut dep_spill);
+                    let p_row = rows.get_mut(p as usize);
+                    p_row.absorbed += 1;
+                    let (p_main, p_cands, p_state) = (p_row.main, p_row.cands, p_row.state);
                     group.ready = group.ready.max(p_main.ready);
                     if !is_load {
                         // Inherited leaf availability counts as data
                         // readiness for the stall breakdown.
                         if O::ENABLED && p_main.ready > data_floor {
-                            data_long = *cols.state.get(pu).expect("in-window producer row")
-                                & S_DATA_LONG
-                                != 0;
+                            data_long = p_state & S_DATA_LONG != 0;
                         }
                         data_floor = data_floor.max(p_main.ready);
                     }
-                    for q in p_main.iter() {
-                        group.add(q, comp(&cols.completion, q));
+                    for k in 0..p_main.pending.len() {
+                        let q = p_main.pending.slice(&dep_spill)[k];
+                        group.add(q, comp(&rows, q), &mut dep_spill);
                     }
-                    // Inherit the producer's transitive collapse
-                    // candidates, each slot list counted once per
-                    // operand slot the absorbed producer occupied.
-                    for &(q, s) in cols.cdeps.get(pu).expect("in-window producer row") {
-                        add_candidate(&mut collapse_deps, q, s, slots.len());
+                    for k in 0..p_cands.len() {
+                        let (q, s) = p_cands.slice(&cand_spill)[k];
+                        add_candidate(&mut cands, q, s, slots.len(), &mut cand_spill);
                     }
                     expr = Some(merged);
                 }
@@ -1170,41 +1202,37 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
             }
 
             // Register wake-up edges on in-window producers while the
-            // rows are still locals (the columns only gain row `i`
-            // below, so producer slots are freely mutable here).
-            for p in e_addr.iter() {
-                cols.edges.link(cols.cons_head.get_mut(p as usize), i, true);
+            // rows are still locals (the ring only gains row `i` below,
+            // so producer rows are freely mutable here).
+            debug_assert!(i < EDGE_ADDR, "instruction index overflows the tag bit");
+            for &p in e_addr.pending.slice(&dep_spill) {
+                edges.push(&mut rows.get_mut(p as usize).cons_head, i | EDGE_ADDR);
             }
-            for p in e_main.iter() {
-                cols.edges
-                    .link(cols.cons_head.get_mut(p as usize), i, false);
+            for &p in e_main.pending.slice(&dep_spill) {
+                edges.push(&mut rows.get_mut(p as usize).cons_head, i);
             }
 
             let schedulable =
-                e_main.pending() + if bypass_addr { 0 } else { e_addr.pending() } == 0;
+                e_main.pending.len() + if bypass_addr { 0 } else { e_addr.pending.len() } == 0;
             if schedulable {
                 st |= S_SCHEDULED;
             }
-            let rc = {
-                let mut r = cycle.max(e_main.ready);
-                if !bypass_addr {
-                    r = r.max(e_addr.ready);
-                }
-                r
+            let new_row = Row {
+                completion: NOT_DONE,
+                state: st,
+                entry_cycle: cycle,
+                main: e_main,
+                addr: e_addr,
+                attr: a,
+                absorbed: 0,
+                cons_head: NIL,
+                expr,
+                cands,
             };
-            cols.completion.push(NOT_DONE);
-            cols.state.push(st);
-            cols.entry_cycle.push(cycle);
-            cols.main.push(e_main);
-            cols.addr.push(e_addr);
-            cols.attr.push(a);
-            cols.absorbed.push(0);
-            cols.cons_head.push(NO_EDGE);
-            cols.expr.push(expr);
-            cols.cdeps.push(collapse_deps);
             if schedulable {
-                wheel.push(rc, i);
+                wheel.push(new_row.ready_cycle(), i);
             }
+            rows.push(new_row);
             in_window += 1;
 
             if pflags & F_COND_BRANCH != 0 {
@@ -1239,12 +1267,12 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
             // Node elimination: if every reader absorbed this result, the
             // instruction need not execute at all (Figure 1f). It frees
             // its window slot without consuming issue bandwidth.
-            let st = *cols.state.get(idx_usize).expect("ready row in window");
-            let absorbed_by = *cols.absorbed.get(idx_usize).expect("ready row in window");
+            let r = rows.get_mut(idx_usize);
+            let st = r.state;
             let iflags = view.flags(idx_usize);
             let eliminate = config.node_elimination
-                && absorbed_by > 0
-                && absorbed_by == view.readers_of(idx_usize)
+                && r.absorbed > 0
+                && r.absorbed == view.readers_of(idx_usize)
                 && iflags & F_CAN_PRODUCE != 0;
             let latency = view.latency(idx_usize);
             let ct = if eliminate {
@@ -1257,22 +1285,24 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
             };
             // Writing the completion time is what removes the row from
             // the window: in-window membership IS `completion == NOT_DONE`.
-            *cols.completion.get_mut(idx_usize) = ct;
+            r.completion = ct;
+            let mut edge = std::mem::replace(&mut r.cons_head, NIL);
+            let (entry_cycle, main, addr, at, expr) =
+                (r.entry_cycle, r.main, r.addr, r.attr, r.expr);
+            // The row is dead to every later read: free its overflow.
+            main.pending.release(&mut dep_spill);
+            addr.pending.release(&mut dep_spill);
+            r.cands.release(&mut cand_spill);
 
             if !eliminate {
                 // Bottleneck attribution: the wait from window entry to
                 // readiness goes to the dominant constraint; ready to
                 // issue is bandwidth contention.
-                let entry_cycle = *cols.entry_cycle.get(idx_usize).expect("row");
-                let main_ready = cols.main.get(idx_usize).expect("row").ready;
-                let addr_row = cols.addr.get(idx_usize).expect("row");
-                let (addr_row_ready, addr_pending) = (addr_row.ready, addr_row.pending());
-                let at = *cols.attr.get(idx_usize).expect("row");
                 let bypass_addr = st & S_BYPASS != 0;
                 let rc = {
-                    let mut r = entry_cycle.max(main_ready);
+                    let mut r = entry_cycle.max(main.ready);
                     if !bypass_addr {
-                        r = r.max(addr_row_ready);
+                        r = r.max(addr.ready);
                     }
                     r
                 };
@@ -1280,7 +1310,7 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
                 stalls.bandwidth += u64::from(cycle - rc);
                 let wait = rc - entry_cycle;
                 if wait > 0 {
-                    let addr_ready = if bypass_addr { 0 } else { addr_row_ready };
+                    let addr_ready = if bypass_addr { 0 } else { addr.ready };
                     // Priority for ties: the most external cause first.
                     let attributed = if at.branch_ready >= rc {
                         &mut stalls.branch
@@ -1294,13 +1324,13 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
                     *attributed += u64::from(wait);
                 }
                 if st & S_LOAD != 0 && config.load_spec != LoadSpecMode::Off {
-                    let t_addr_known = addr_pending == 0;
+                    let t_addr_known = addr.pending.len() == 0;
                     let comparator = if bypass_addr {
                         cycle
                     } else {
-                        main_ready.max(entry_cycle)
+                        main.ready.max(entry_cycle)
                     };
-                    let class = if t_addr_known && addr_row_ready <= comparator {
+                    let class = if t_addr_known && addr.ready <= comparator {
                         LoadClass::Ready
                     } else if st & S_PRED_CONF != 0 && st & S_PRED_CORRECT != 0 {
                         LoadClass::PredictedCorrect
@@ -1311,7 +1341,7 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
                     };
                     loads.record(class);
                 }
-                if let Some(expr) = cols.expr.get(idx_usize).and_then(|o| o.as_ref()) {
+                if let Some(expr) = &expr {
                     // A collapse is only *executed* when the interlock is
                     // real: the consumer issues before some absorbed
                     // producer's result would have been available. Groups
@@ -1321,12 +1351,12 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
                     let effective = expr.is_collapsed()
                         && expr
                             .members()
-                            .any(|(m, _)| m != idx && comp(&cols.completion, m) > cycle);
+                            .any(|(m, _)| m != idx && comp(&rows, m) > cycle);
                     if effective {
                         collapse.record_group(expr);
                         participant.set(idx_usize);
                         for (m, _) in expr.members() {
-                            if m != idx && comp(&cols.completion, m) > cycle {
+                            if m != idx && comp(&rows, m) > cycle {
                                 participant.set(m as usize);
                             }
                         }
@@ -1337,77 +1367,58 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
                 }
             }
 
-            // Notify in-window consumers by walking the intrusive edge
-            // list headed at this row. List order is LIFO registration
-            // order; every notify effect is order-insensitive (max
-            // floors, set removals, wheel-bucket inserts whose
-            // per-bucket order is unobserved), so this matches the old
-            // push-order walk bit for bit.
+            // Notify in-window consumers, freeing this row's edges.
             let p_long =
                 O::ENABLED && !eliminate && st & S_LOAD == 0 && latency > config.latencies.default;
-            let mut edge = std::mem::replace(cols.cons_head.get_mut(idx_usize), NO_EDGE);
-            while edge != NO_EDGE {
-                let node = cols.edges.nodes[edge as usize];
-                cols.edges.release(edge);
-                edge = node.next;
-                let cons = (node.cons & !EDGE_ADDR) as usize;
-                if comp(&cols.completion, cons as u32) != NOT_DONE {
+            while let Some(tagged) = edges.pop(&mut edge) {
+                // A consumer is younger than this unissued producer, so
+                // it sits above the watermark.
+                let cons = (tagged & !EDGE_ADDR) as usize;
+                let c = rows.get_mut(cons);
+                if c.completion != NOT_DONE {
                     continue; // bypassed load already issued
                 }
-                let resolved = if node.cons & EDGE_ADDR != 0 {
-                    cols.addr.get_mut(cons).resolve(idx, ct)
+                let resolved = if tagged & EDGE_ADDR != 0 {
+                    c.addr.resolve(idx, ct, &mut dep_spill)
                 } else {
-                    let r = cols.main.get_mut(cons).resolve(idx, ct);
+                    let r = c.main.resolve(idx, ct, &mut dep_spill);
                     if r {
-                        // Inlined note_main_ready: classify the resolved
-                        // producer for stall attribution. The dep indices
-                        // are deliberately *not* cleared (the main group
-                        // dedups producers, so each pair resolves once) —
-                        // that keeps the follow-on squash check identical
-                        // to the struct-based loop.
-                        let data_long_write = {
-                            let a = cols.attr.get_mut(cons);
-                            if a.mem_dep == idx {
-                                a.mem_ready = a.mem_ready.max(ct);
-                                false
-                            } else if a.branch_dep == idx {
-                                a.branch_ready = a.branch_ready.max(ct);
-                                false
-                            } else {
-                                let write = ct >= a.data_ready;
-                                a.data_ready = a.data_ready.max(ct);
-                                write
-                            }
+                        // Classify the resolved producer for stall
+                        // attribution. The dep indices are deliberately
+                        // *not* cleared (the main group dedups producers,
+                        // so each pair resolves once) — that keeps the
+                        // follow-on squash check identical to the
+                        // struct-based loop.
+                        let a = &mut c.attr;
+                        let data_long_write = if a.mem_dep == idx {
+                            a.mem_ready = a.mem_ready.max(ct);
+                            false
+                        } else if a.branch_dep == idx {
+                            a.branch_ready = a.branch_ready.max(ct);
+                            false
+                        } else {
+                            let write = ct >= a.data_ready;
+                            a.data_ready = a.data_ready.max(ct);
+                            write
                         };
                         if data_long_write {
-                            let s = cols.state.get_mut(cons);
                             if p_long {
-                                *s |= S_DATA_LONG;
+                                c.state |= S_DATA_LONG;
                             } else {
-                                *s &= !S_DATA_LONG;
+                                c.state &= !S_DATA_LONG;
                             }
                         }
-                        if O::ENABLED
-                            && cols.attr.get(cons).expect("consumer row").branch_dep == idx
-                        {
+                        if O::ENABLED && c.attr.branch_dep == idx {
                             squash_pending -= 1;
                         }
                     }
                     r
                 };
-                if resolved {
-                    let st_c = *cols.state.get(cons).expect("consumer row");
-                    if st_c & S_SCHEDULED == 0 && cols.blocking(cons) == 0 {
-                        *cols.state.get_mut(cons) |= S_SCHEDULED;
-                        wheel.push(cols.ready_cycle(cons), cons as u32);
-                    }
+                if resolved && c.state & S_SCHEDULED == 0 && c.blocking() == 0 {
+                    c.state |= S_SCHEDULED;
+                    wheel.push(c.ready_cycle(), cons as u32);
                 }
             }
-            // Recycle the issued instruction's candidate row (the
-            // dependence rows are inline — nothing to free).
-            let mut cd = std::mem::take(cols.cdeps.get_mut(idx_usize));
-            cd.clear();
-            spare_rows.push(cd);
             true
         });
         // Batch retirement: one counter update per cycle, not per pop.
@@ -1461,18 +1472,15 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
             if span > 0 {
                 let cause = match wheel.peek_min() {
                     Some((rc, head)) => {
-                        let hu = head as usize;
-                        let at = *cols.attr.get(hu).expect("pending row in window");
-                        let st = *cols.state.get(hu).expect("pending row in window");
+                        let h = rows.get(head as usize).expect("pending row in window");
+                        let at = h.attr;
                         if squash_pending > 0 || at.branch_ready >= rc {
                             StallCause::Branch
                         } else if at.mem_ready >= rc {
                             StallCause::Memory
-                        } else if st & S_BYPASS == 0
-                            && cols.addr.get(hu).expect("pending row in window").ready >= rc
-                        {
+                        } else if h.state & S_BYPASS == 0 && h.addr.ready >= rc {
                             StallCause::Address
-                        } else if st & S_DATA_LONG != 0 && at.data_ready >= rc {
+                        } else if h.state & S_DATA_LONG != 0 && at.data_ready >= rc {
                             StallCause::LongLatency
                         } else {
                             let more = !exhausted && matches!(view.ensure(fetch), Ok(true));
@@ -1491,6 +1499,8 @@ pub(crate) fn run_timing_loop<V: PreparedSource, O: SimObserver>(
         cycle = next;
     }
 
+    #[cfg(test)]
+    tests::SPILLED.set((dep_spill.lists.len(), cand_spill.lists.len()));
     let total = fetch;
     collapse.mark_participants(participant.lifetime_ones());
     collapse.set_total(total as u64);
@@ -1600,6 +1610,13 @@ mod tests {
     use crate::PaperConfig;
     use ddsc_isa::{Cond, Opcode, Reg};
     use ddsc_trace::TraceInst;
+
+    thread_local! {
+        /// How many pending-producer and candidate overflow lists this
+        /// thread's last run made: nonzero iff some row spilled.
+        pub(super) static SPILLED: std::cell::Cell<(usize, usize)> =
+            const { std::cell::Cell::new((0, 0)) };
+    }
 
     fn r(i: u8) -> Reg {
         Reg::new(i)
@@ -2626,6 +2643,210 @@ mod tests {
         let res = simulate(&t, &SimConfig::paper(PaperConfig::C, 4));
         assert_eq!(res.instructions, 6000);
         assert!(res.cycles > 0);
+    }
+
+    /// The pending-producer row as the loop kept it before it became
+    /// `Copy`: six inline slots, then a heap spill.
+    #[derive(Debug, Default)]
+    struct VecDeps {
+        ready: u32,
+        inline: Vec<u32>,
+        spill: Vec<u32>,
+    }
+
+    impl VecDeps {
+        fn add(&mut self, p: u32, c: u32) {
+            if c != NOT_DONE {
+                self.ready = self.ready.max(c);
+            } else if !self.inline.contains(&p) && !self.spill.contains(&p) {
+                if self.inline.len() < DEPS_INLINE {
+                    self.inline.push(p);
+                } else {
+                    self.spill.push(p);
+                }
+            }
+        }
+
+        fn resolve(&mut self, p: u32, at: u32) -> bool {
+            if let Some(k) = self.inline.iter().position(|&x| x == p) {
+                match self.spill.pop() {
+                    Some(last) => self.inline[k] = last,
+                    None => {
+                        self.inline.swap_remove(k);
+                    }
+                }
+            } else if let Some(k) = self.spill.iter().position(|&x| x == p) {
+                self.spill.swap_remove(k);
+            } else {
+                return false;
+            }
+            self.ready = self.ready.max(at);
+            true
+        }
+    }
+
+    #[test]
+    fn pending_rows_match_their_vec_form_past_the_inline_slots() {
+        let mut arena = Overflow::default();
+        let mut rows: Vec<(Deps, VecDeps)> = (0..4)
+            .map(|_| (Deps::default(), VecDeps::default()))
+            .collect();
+        let mut rng = ddsc_util::Pcg32::new(61);
+        let mut longest = 0;
+        for step in 0..20_000 {
+            let (row, model) = &mut rows[rng.next_u32() as usize % 4];
+            let p = rng.next_u32() % 24;
+            match rng.next_u32() % 16 {
+                0..=7 => {
+                    let c = if rng.chance(3, 4) {
+                        NOT_DONE
+                    } else {
+                        rng.next_u32() % 100
+                    };
+                    row.add(p, c, &mut arena);
+                    model.add(p, c);
+                }
+                8..=14 => {
+                    let at = rng.next_u32() % 100;
+                    let resolved = row.resolve(p, at, &mut arena);
+                    assert_eq!(resolved, model.resolve(p, at), "step {step}");
+                }
+                // The instruction issues: its row dies, a new one comes.
+                _ => {
+                    row.pending.release(&mut arena);
+                    (*row, *model) = (Deps::default(), VecDeps::default());
+                }
+            }
+            let want: Vec<u32> = model.inline.iter().chain(&model.spill).copied().collect();
+            assert_eq!(row.pending.slice(&arena), want.as_slice(), "step {step}");
+            assert_eq!(row.ready, model.ready, "step {step}");
+            longest = longest.max(row.pending.len());
+        }
+        assert!(longest > DEPS_INLINE + 4, "rows peaked at {longest}");
+    }
+
+    /// [`add_candidate`] as it was over a heap row.
+    fn add_candidate_vec(row: &mut Vec<(u32, SlotSet)>, p: u32, slots: SlotSet, times: u16) {
+        let at = row.partition_point(|&(q, _)| q > p);
+        match row.get_mut(at) {
+            Some((q, existing)) if *q == p => existing.add_times(slots, times),
+            _ => {
+                let mut set = SlotSet::default();
+                set.add_times(slots, times);
+                row.insert(at, (p, set));
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_rows_match_their_vec_form_past_the_inline_slots() {
+        use ddsc_collapse::AbsorbSlot;
+        let mut arena = Overflow::default();
+        let mut rows: Vec<(Cands, Vec<(u32, SlotSet)>)> =
+            (0..4).map(|_| (Cands::default(), Vec::new())).collect();
+        let mut rng = ddsc_util::Pcg32::new(67);
+        let mut longest = 0;
+        for step in 0..20_000 {
+            let a = rng.next_u32() as usize % 4;
+            match rng.next_u32() % 16 {
+                0..=7 => {
+                    let kind = [AbsorbSlot::Counted, AbsorbSlot::ZeroReg, AbsorbSlot::Icc];
+                    let slots = SlotSet::of(&[kind[rng.next_u32() as usize % 3]]);
+                    let (p, times) = (rng.next_u32() % 24, (rng.next_u32() % 2 + 1) as u16);
+                    add_candidate(&mut rows[a].0, p, slots, times, &mut arena);
+                    add_candidate_vec(&mut rows[a].1, p, slots, times);
+                }
+                // An absorb: the consumer inherits the producer's row.
+                8 => {
+                    let b = rng.next_u32() as usize % 4;
+                    if a != b {
+                        let src = rows[b].0;
+                        for k in 0..src.len() {
+                            let (q, s) = src.slice(&arena)[k];
+                            add_candidate(&mut rows[a].0, q, s, 1, &mut arena);
+                        }
+                        for (q, s) in rows[b].1.clone() {
+                            add_candidate_vec(&mut rows[a].1, q, s, 1);
+                        }
+                    }
+                }
+                9..=13 => {
+                    let (row, model) = &mut rows[a];
+                    if row.len() > 0 {
+                        let k = rng.next_u32() as usize % row.len();
+                        assert_eq!(row.slice(&arena)[k], model.remove(k), "step {step}");
+                        row.remove(k, &mut arena);
+                    }
+                }
+                _ => {
+                    rows[a].0.release(&mut arena);
+                    rows[a] = (Cands::default(), Vec::new());
+                }
+            }
+            let (row, model) = &rows[a];
+            assert_eq!(row.slice(&arena), model.as_slice(), "step {step}");
+            longest = longest.max(row.len());
+        }
+        assert!(longest > CANDS_INLINE + 4, "rows peaked at {longest}");
+    }
+
+    /// A seeded trace built for collapse inheritance: dense dataflow over
+    /// six registers, adds whose operands are often zero (so four-member
+    /// groups form and absorb their producers' rows), divides that keep
+    /// producers in flight, random branches and aliasing memory.
+    fn inheritance_heavy_trace(len: u32, seed: u64) -> Trace {
+        let mut rng = ddsc_util::Pcg32::new(seed);
+        let mut reg = move || r((rng.next_u32() % 6 + 1) as u8);
+        let mut pick = ddsc_util::Pcg32::new(seed ^ 0x5eed);
+        let mut t = Trace::new("inheritance-heavy");
+        for i in 0..len {
+            let pc = 4 * i;
+            let ea = (pick.next_u32() % 8) * 4 + 0x100;
+            t.push(match pick.next_u32() % 16 {
+                0 => TraceInst::alu(pc, Opcode::Div, reg(), reg(), None, Some(3), 0),
+                1 => TraceInst::cond_branch(
+                    4 * (i % 64),
+                    Opcode::Bcc(Cond::Ne),
+                    pick.chance(1, 2),
+                    0,
+                ),
+                2 => TraceInst::cmp(pc, reg(), None, Some(1), 0),
+                3 => TraceInst::store(pc, Opcode::St, reg(), reg(), Some(reg()), None, 0, ea),
+                4 => TraceInst::load(pc, Opcode::Ld, reg(), reg(), Some(reg()), None, 0, ea),
+                _ => {
+                    let zero_flags = (pick.next_u32() % 4) as u8;
+                    TraceInst::alu(pc, Opcode::Add, reg(), reg(), Some(reg()), None, zero_flags)
+                }
+            });
+        }
+        t
+    }
+
+    #[test]
+    fn rows_past_their_inline_capacity_match_the_reference() {
+        let t = inheritance_heavy_trace(300, 9);
+        let mut configs = Vec::new();
+        for c in [PaperConfig::C, PaperConfig::D, PaperConfig::E] {
+            let config = SimConfig::paper(c, 64);
+            simulate(&t, &config);
+            let (deps, cands) = SPILLED.get();
+            assert!(
+                deps > 0 && cands > 0,
+                "{c:?}: spilled {deps} pending and {cands} candidate rows"
+            );
+            configs.push(config);
+        }
+        // Pairs only, triples, and the 3-1 device.
+        for (members, ops) in [(2, 4), (3, 4), (4, 3)] {
+            let mut c = SimConfig::paper(PaperConfig::C, 64);
+            c.max_collapse_members = members;
+            c.max_collapse_ops = ops;
+            configs.push(c);
+        }
+        for config in &configs {
+            let reference = crate::reference::simulate_reference(&t, config);
+            assert_eq!(simulate(&t, config), reference, "divergence at {config:?}");
+        }
     }
 
     #[test]

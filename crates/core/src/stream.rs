@@ -13,7 +13,7 @@
 //!
 //! Bit-identity with the whole-trace path is structural, not argued:
 //! the streaming pre-pass runs the whole-trace pre-pass's own
-//! per-instruction walk and verdict step, only into ring columns; both
+//! per-instruction walk and verdict step, only into a ring of rows; both
 //! paths are the one generic timing loop in [`crate::simulator`],
 //! differing only in the column view behind it; and the chunk-boundary
 //! proptests pin the equivalence (including chunk size 1 and chunks
@@ -149,17 +149,17 @@ impl PreparedSource for StreamView<'_> {
 
     #[inline]
     fn flags(&self, i: usize) -> u8 {
-        self.prep.flags(i)
+        self.prep.at(i).flags
     }
 
     #[inline]
     fn latency(&self, i: usize) -> u8 {
-        self.prep.latency(i)
+        self.prep.at(i).lat
     }
 
     #[inline]
     fn block_of(&self, i: usize) -> u32 {
-        self.prep.block_of(i)
+        self.prep.at(i).block
     }
 
     #[inline]
@@ -171,17 +171,17 @@ impl PreparedSource for StreamView<'_> {
 
     #[inline]
     fn mem_dep_of(&self, i: usize) -> Option<u32> {
-        self.prep.mem_dep_of(i)
+        self.prep.at(i).mem_dep
     }
 
     #[inline]
     fn producer_row(&self, i: usize) -> ProducerRow {
-        self.prep.producer_row(i)
+        self.prep.at(i).row
     }
 
     #[inline]
     fn optype_of(&self, i: usize) -> Option<OpType> {
-        self.prep.optype_of(i)
+        self.prep.at(i).optype
     }
 
     #[inline]

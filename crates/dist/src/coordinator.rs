@@ -1441,7 +1441,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared, sinks: &DistSinks<'_>) {
     let mut quiet_ticks = 0u32;
     loop {
         let msg = match read_worker_msg(&mut reader) {
-            Ok(Some(msg)) => msg,
+            Ok(Some(msg)) => Some(msg),
             Ok(None) => break, // clean close
             Err(WireError::Io(e))
                 if matches!(
@@ -1449,18 +1449,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared, sinks: &DistSinks<'_>) {
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                // No frame within the poll window. Once the grid is
-                // complete, give the worker a few windows to come back
-                // for its AllDone, then hang up.
-                if shared.lock().is_complete() {
-                    quiet_ticks += 1;
-                    if quiet_ticks > 10 {
-                        break;
-                    }
-                } else {
-                    quiet_ticks = 0;
-                }
-                continue;
+                None
             }
             Err(_) => {
                 // Corrupt frame or transport error: the checksummed
@@ -1470,7 +1459,21 @@ fn handle_conn(stream: TcpStream, shared: &Shared, sinks: &DistSinks<'_>) {
                 return;
             }
         };
-        quiet_ticks = 0;
+        // Once the grid is complete, a poll window without a frame is
+        // quiet, and so is a heartbeat: a worker whose answer was lost
+        // heartbeats on and must not hold this handler, and `run` with
+        // it, open. Give it a few windows to come back for its AllDone,
+        // then hang up.
+        let active = matches!(&msg, Some(m) if !matches!(m, WorkerMsg::Heartbeat { .. }));
+        if !active && shared.lock().is_complete() {
+            quiet_ticks += 1;
+            if quiet_ticks > 10 {
+                break;
+            }
+        } else {
+            quiet_ticks = 0;
+        }
+        let Some(msg) = msg else { continue };
         let now = Instant::now();
         let reply = match msg {
             WorkerMsg::Hello {
@@ -1519,6 +1522,9 @@ fn handle_conn(stream: TcpStream, shared: &Shared, sinks: &DistSinks<'_>) {
                 .and_then(|()| writer.flush())
                 .is_err()
             {
+                // Flushing the failed answer again on drop would block
+                // on the same peer for another write timeout.
+                drop(writer.into_parts());
                 disconnect(shared, sinks, worker_id);
                 return;
             }

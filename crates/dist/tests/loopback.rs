@@ -344,3 +344,60 @@ fn an_idle_request_is_held_until_a_cell_becomes_dispatchable() {
     assert_eq!(report.cells_completed, 1);
     assert_eq!(merged.get(&spec.digest), Some(&body));
 }
+
+#[test]
+fn a_finished_grid_stops_counting_heartbeats_as_activity() {
+    let spec = spec_for("compress", "A", 4, 1000);
+    let body = local_body(&spec);
+    let coord =
+        Coordinator::bind("127.0.0.1:0", vec![spec.clone()], SchedOptions::default()).unwrap();
+    let addr = coord.local_addr();
+    // Not scoped: on a failure the run must not hold the test open.
+    let run = thread::spawn(move || {
+        let merged = Mutex::new(HashMap::new());
+        let quarantines = Mutex::new(Vec::new());
+        collecting_run(coord, &quarantines, &merged)
+    });
+
+    // Worker 2 registers, then only heartbeats, as a worker does while
+    // it waits for an answer the network lost.
+    let (mut w2, id2) = hello(addr, 2);
+    // Worker 1 completes the grid and leaves.
+    let (mut w1, id1) = hello(addr, 1);
+    write_worker_msg(&mut w1, &WorkerMsg::Request { worker_id: id1 }).unwrap();
+    let Some(CoordMsg::Assign(leased)) = read_coord_msg(&mut w1).unwrap() else {
+        panic!("expected Assign");
+    };
+    write_worker_msg(
+        &mut w1,
+        &WorkerMsg::Result {
+            worker_id: id1,
+            digest: leased.digest,
+            seconds_bits: 0.0f64.to_bits(),
+            body,
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        read_coord_msg(&mut w1).unwrap(),
+        Some(CoordMsg::Ack)
+    ));
+    drop(w1);
+    let completed = Instant::now();
+
+    // Heartbeat at the worker's default period until the run ends (the
+    // coordinator hangs up) or 20 s pass.
+    while !run.is_finished() && completed.elapsed() < Duration::from_secs(20) {
+        if write_worker_msg(&mut w2, &WorkerMsg::Heartbeat { worker_id: id2 }).is_err() {
+            break;
+        }
+        thread::sleep(Duration::from_millis(200));
+    }
+    let took = completed.elapsed();
+    drop(w2);
+    assert_eq!(run.join().unwrap().cells_completed, 1);
+    assert!(
+        took < Duration::from_secs(10),
+        "the run ended {took:?} after the grid completed"
+    );
+}

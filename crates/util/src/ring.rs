@@ -36,7 +36,9 @@
 ///
 /// Live indices form the contiguous range `[base, end)`; `push` appends
 /// at `end`, `evict_to` advances `base`. Capacity is a power of two and
-/// doubles when the live span outgrows it.
+/// doubles when the live span outgrows it. Elements are `Copy` (no drop
+/// glue), and the hot accessors are forced inline with the rare `grow`
+/// kept out of line: an access costs one capacity or range check.
 #[derive(Debug, Clone)]
 pub struct RingVec<T> {
     buf: Vec<T>,
@@ -44,11 +46,9 @@ pub struct RingVec<T> {
     mask: usize,
     base: usize,
     end: usize,
-    /// Placeholder used to initialise fresh capacity.
-    fill: T,
 }
 
-impl<T: Clone> RingVec<T> {
+impl<T: Copy> RingVec<T> {
     /// An empty ring; `fill` initialises backing storage (its value is
     /// never observable through the API).
     pub fn new(fill: T) -> Self {
@@ -59,11 +59,10 @@ impl<T: Clone> RingVec<T> {
     pub fn with_capacity(fill: T, cap: usize) -> Self {
         let cap = cap.next_power_of_two().max(16);
         RingVec {
-            buf: vec![fill.clone(); cap],
+            buf: vec![fill; cap],
             mask: cap - 1,
             base: 0,
             end: 0,
-            fill,
         }
     }
 
@@ -93,7 +92,7 @@ impl<T: Clone> RingVec<T> {
     }
 
     /// Appends a value at index `end`, returning that index.
-    #[inline]
+    #[inline(always)]
     pub fn push(&mut self, v: T) -> usize {
         if self.end - self.base == self.buf.len() {
             self.grow();
@@ -110,7 +109,7 @@ impl<T: Clone> RingVec<T> {
     ///
     /// Panics if `i >= end` — reading ahead of the sequence is a logic
     /// error, unlike reading behind the window.
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, i: usize) -> Option<&T> {
         assert!(i < self.end, "index {i} ahead of ring end {}", self.end);
         (i >= self.base).then(|| &self.buf[i & self.mask])
@@ -121,7 +120,7 @@ impl<T: Clone> RingVec<T> {
     /// # Panics
     ///
     /// Panics if `i` is outside the live range `[base, end)`.
-    #[inline]
+    #[inline(always)]
     pub fn get_mut(&mut self, i: usize) -> &mut T {
         assert!(
             i >= self.base && i < self.end,
@@ -134,16 +133,19 @@ impl<T: Clone> RingVec<T> {
 
     /// Drops every element below `new_base` (clamped to `end`). Bases
     /// only move forward; an older `new_base` is a no-op.
-    #[inline]
+    #[inline(always)]
     pub fn evict_to(&mut self, new_base: usize) {
         self.base = self.base.max(new_base.min(self.end));
     }
 
+    #[cold]
+    #[inline(never)]
     fn grow(&mut self) {
         let new_cap = self.buf.len() * 2;
-        let mut buf = vec![self.fill.clone(); new_cap];
+        // Any element fills: a slot is written before it is read.
+        let mut buf = vec![self.buf[0]; new_cap];
         for i in self.base..self.end {
-            buf[i & (new_cap - 1)] = self.buf[i & self.mask].clone();
+            buf[i & (new_cap - 1)] = self.buf[i & self.mask];
         }
         self.buf = buf;
         self.mask = new_cap - 1;

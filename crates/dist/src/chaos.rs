@@ -21,11 +21,11 @@
 //! run still completes byte-identical to a single-process run.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use ddsc_util::net::{Listener, StopHandle, CHAOS_PROXY_POLICY};
 use ddsc_util::{fnv1a, StreamFault, StreamFaultPlan};
 
 /// Longest delay the proxy actually sleeps per event, whatever the
@@ -124,31 +124,13 @@ pub struct ChaosSummary {
     pub resets: u64,
 }
 
-/// Handle to stop a running proxy from another thread.
-#[derive(Clone)]
-pub struct ChaosStop {
-    stop: Arc<AtomicBool>,
-    addr: SocketAddr,
-}
-
-impl ChaosStop {
-    /// Asks the proxy's accept loop to exit.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept call.
-        let _ = TcpStream::connect(self.addr);
-    }
-}
-
 /// The chaos proxy: listens on one loopback address, forwards every
 /// accepted connection to `upstream`, and perturbs both directions per
 /// the seeded per-connection scripts.
 pub struct ChaosProxy {
-    listener: TcpListener,
-    addr: SocketAddr,
+    listener: Listener,
     upstream: String,
     opts: ChaosOptions,
-    stop: Arc<AtomicBool>,
 }
 
 impl ChaosProxy {
@@ -160,61 +142,45 @@ impl ChaosProxy {
         upstream: impl Into<String>,
         opts: ChaosOptions,
     ) -> io::Result<ChaosProxy> {
-        let listener = TcpListener::bind(listen)?;
-        let addr = listener.local_addr()?;
         Ok(ChaosProxy {
-            listener,
-            addr,
+            listener: Listener::bind(listen, None)?,
             upstream: upstream.into(),
             opts,
-            stop: Arc::new(AtomicBool::new(false)),
         })
     }
 
     /// The bound listen address workers should connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// A handle that stops [`ChaosProxy::run`] from another thread.
-    pub fn stop_handle(&self) -> ChaosStop {
-        ChaosStop {
-            stop: Arc::clone(&self.stop),
-            addr: self.addr,
-        }
+    pub fn stop_handle(&self) -> StopHandle {
+        self.listener.stop_handle()
     }
 
     /// Accepts and proxies connections until stopped; returns the
     /// applied-fault summary.
     pub fn run(self) -> ChaosSummary {
-        let stats = Arc::new(ChaosStats::default());
-        let mut conn_index = 0u64;
+        let stats = &ChaosStats::default();
         std::thread::scope(|s| {
-            for stream in self.listener.incoming() {
-                if self.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(client) = stream else { continue };
-                let Ok(server) = TcpStream::connect(&self.upstream) else {
-                    // Upstream unreachable: drop the client; it will
-                    // retry with backoff.
-                    continue;
-                };
-                let _ = client.set_nodelay(true);
-                let _ = server.set_nodelay(true);
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                let conn = conn_index;
-                conn_index += 1;
-                let up_plan = script(&self.opts, conn, Direction::Upstream);
-                let down_plan = script(&self.opts, conn, Direction::Downstream);
-                let (Ok(c2), Ok(s2)) = (client.try_clone(), server.try_clone()) else {
-                    continue;
-                };
-                let up_stats = Arc::clone(&stats);
-                let down_stats = Arc::clone(&stats);
-                s.spawn(move || pump(client, server, up_plan, &up_stats));
-                s.spawn(move || pump(s2, c2, down_plan, &down_stats));
-            }
+            self.listener
+                .accept_until_stopped(CHAOS_PROXY_POLICY, |client| {
+                    let Ok(server) = TcpStream::connect(&self.upstream) else {
+                        // Upstream unreachable: drop the client; it will
+                        // retry with backoff.
+                        return;
+                    };
+                    CHAOS_PROXY_POLICY.apply(&server);
+                    let conn = stats.connections.fetch_add(1, Ordering::Relaxed);
+                    let up_plan = script(&self.opts, conn, Direction::Upstream);
+                    let down_plan = script(&self.opts, conn, Direction::Downstream);
+                    let (Ok(c2), Ok(s2)) = (client.try_clone(), server.try_clone()) else {
+                        return;
+                    };
+                    s.spawn(move || pump(client, server, up_plan, stats));
+                    s.spawn(move || pump(s2, c2, down_plan, stats));
+                });
         });
         ChaosSummary {
             connections: stats.connections.load(Ordering::Relaxed),
@@ -345,6 +311,7 @@ fn pump(mut src: TcpStream, mut dst: TcpStream, plan: StreamFaultPlan, stats: &C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     #[test]
     fn scripts_are_deterministic_per_connection_and_direction() {

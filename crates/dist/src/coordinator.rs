@@ -50,13 +50,14 @@
 //! run. Each incident lands in `BENCH_dist.json`.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, BufReader, BufWriter, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{self, BufReader};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ddsc_core::SimResult;
+use ddsc_util::net::{Listener, COORDINATOR_POLICY};
 use ddsc_util::{fnv1a, Json};
 
 use crate::estimate::{ComputeEstimator, LeaseStat};
@@ -1275,11 +1276,15 @@ pub struct DistSinks<'a> {
 }
 
 /// What the monitor and the connection handlers share: the scheduler
-/// behind one lock, and two conditions on that lock.
+/// behind one lock, the count of running handlers, and two conditions
+/// on that lock.
 struct Shared {
     sched: Mutex<Scheduler>,
-    /// Notified when the grid completes. The monitor waits on it, with
-    /// [`REAP_EVERY`] as the timeout.
+    /// Connection handlers running, from accept to exit. It falls only
+    /// under the `sched` lock (see [`Handler`]).
+    handlers: AtomicUsize,
+    /// Notified when the grid completes and when a handler exits. The
+    /// monitor waits on it, with [`REAP_EVERY`] as the timeout.
     complete: Condvar,
     /// Notified when a cell may have become dispatchable (a result or
     /// failure was ingested, timeouts were reaped, a worker
@@ -1334,12 +1339,27 @@ impl Shared {
     }
 }
 
+/// A running connection handler: the accept loop raises
+/// [`Shared::handlers`] before making one, and its drop (unwinding
+/// included) lowers it.
+struct Handler<'a>(&'a Shared);
+
+impl Drop for Handler<'_> {
+    fn drop(&mut self) {
+        // Under the scheduler lock, poisoned or not, so the monitor
+        // cannot read the count between its check and its wait.
+        let held = self.0.sched.lock();
+        self.0.handlers.fetch_sub(1, Ordering::SeqCst);
+        drop(held);
+        self.0.complete.notify_all();
+    }
+}
+
 /// The TCP face of the [`Scheduler`]: accepts worker connections,
 /// answers the dist protocol, reaps timeouts on a timer, and returns
-/// when the grid is complete.
+/// when the grid is complete and its connection handlers have exited.
 pub struct Coordinator {
-    listener: TcpListener,
-    addr: SocketAddr,
+    listener: Listener,
     shared: Shared,
 }
 
@@ -1347,13 +1367,11 @@ impl Coordinator {
     /// Binds the coordinator (pass port 0 for an ephemeral port; read
     /// it back with [`Coordinator::local_addr`]).
     pub fn bind(addr: &str, cells: Vec<CellSpec>, opts: SchedOptions) -> io::Result<Coordinator> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         Ok(Coordinator {
-            listener,
-            addr,
+            listener: Listener::bind(addr, None)?,
             shared: Shared {
                 sched: Mutex::new(Scheduler::new(cells, opts)),
+                handlers: AtomicUsize::new(0),
                 complete: Condvar::new(),
                 dispatchable: Condvar::new(),
             },
@@ -1362,25 +1380,25 @@ impl Coordinator {
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
-    /// Serves workers until every cell is completed or quarantined,
-    /// then returns the run report. Blocks; sinks are invoked from
-    /// connection-handler threads as cells settle.
+    /// Serves workers until every cell is completed or quarantined and
+    /// every connection handler has exited, then returns the run
+    /// report. Blocks; sinks are invoked from connection-handler
+    /// threads as cells settle.
     pub fn run(self, sinks: &DistSinks<'_>) -> DistReport {
         let t0 = Instant::now();
-        let stop = AtomicBool::new(false);
         let shared = &self.shared;
-        let addr = self.addr;
+        let stop = self.listener.stop_handle();
         std::thread::scope(|s| {
             // Reaper + completion monitor: applies the timeouts every
-            // REAP_EVERY, sinks any quarantines, and unblocks the accept
-            // loop when the grid is complete. It checks completion and
-            // enters the wait under one lock hold, so the notification
-            // of the change that completes the grid cannot slip between
-            // the two.
-            s.spawn(|| {
+            // REAP_EVERY, sinks any quarantines, and stops the accept
+            // loop once the grid is complete and no handler runs, so a
+            // worker that connects while handlers drain still gets
+            // AllDone. It checks both and enters the wait under one lock
+            // hold, so neither notification can slip between the two.
+            s.spawn(move || {
                 let mut sched = shared.lock();
                 loop {
                     let quarantines = sched.reap(Instant::now());
@@ -1392,7 +1410,7 @@ impl Coordinator {
                         }
                         sched = shared.lock();
                     }
-                    if sched.is_complete() {
+                    if sched.is_complete() && shared.handlers.load(Ordering::SeqCst) == 0 {
                         break;
                     }
                     sched = shared
@@ -1402,16 +1420,17 @@ impl Coordinator {
                         .0;
                 }
                 drop(sched);
-                stop.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(addr); // unblock accept
+                stop.stop();
             });
-            for stream in self.listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                s.spawn(|| handle_conn(stream, shared, sinks));
-            }
+            self.listener
+                .accept_until_stopped(COORDINATOR_POLICY, |stream| {
+                    shared.handlers.fetch_add(1, Ordering::SeqCst);
+                    let handler = Handler(shared);
+                    s.spawn(move || {
+                        handle_conn(&stream, shared, sinks);
+                        drop(handler);
+                    });
+                });
         });
         let sched = shared.lock();
         sched.report(t0.elapsed().as_secs_f64())
@@ -1423,20 +1442,9 @@ impl Coordinator {
 /// [`Shared::next_assignment`]). Read timeouts double as a completion
 /// poll so handler threads always exit shortly after the grid finishes,
 /// even if their worker hangs mid-cell.
-fn handle_conn(stream: TcpStream, shared: &Shared, sinks: &DistSinks<'_>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    // Writes must be bounded too: a peer (or an interposed proxy)
-    // that stops draining would otherwise wedge this handler in a
-    // blocked `write` forever — and `run`'s thread scope with it.
-    // A timed-out write errors into the `disconnect` path below, so
-    // the worker is treated as lost and its leases re-dispatch.
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
+fn handle_conn(stream: &TcpStream, shared: &Shared, sinks: &DistSinks<'_>) {
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
     let mut worker_id = 0u64;
     let mut quiet_ticks = 0u32;
     loop {
@@ -1518,13 +1526,9 @@ fn handle_conn(stream: TcpStream, shared: &Shared, sinks: &DistSinks<'_>) {
             }
         };
         if let Some(reply) = reply {
-            if write_coord_msg(&mut writer, &reply)
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                // Flushing the failed answer again on drop would block
-                // on the same peer for another write timeout.
-                drop(writer.into_parts());
+            // A timed-out write (COORDINATOR_POLICY) lands here too: the
+            // worker is treated as lost and its leases re-dispatch.
+            if write_coord_msg(&mut writer, &reply).is_err() {
                 disconnect(shared, sinks, worker_id);
                 return;
             }

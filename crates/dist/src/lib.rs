@@ -42,7 +42,7 @@ pub mod estimate;
 pub mod proto;
 pub mod worker;
 
-pub use chaos::{ChaosOptions, ChaosProxy, ChaosStop, ChaosSummary, Direction};
+pub use chaos::{ChaosOptions, ChaosProxy, ChaosSummary, Direction};
 pub use coordinator::{
     spot_selected, validate_body, Assignment, Coordinator, DistReport, DistSinks, Ingest,
     MismatchIncident, SchedOptions, Scheduler, WorkerReport,

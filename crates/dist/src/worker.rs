@@ -25,13 +25,14 @@
 //! from its runner, and the reason a small worker fleet scales
 //! near-linearly on the paper grid.
 
-use std::io::{self, BufReader, Write as _};
+use std::io::{self, BufReader};
 use std::net::TcpStream;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ddsc_experiments::CellRunner;
+use ddsc_util::net::WORKER_POLICY;
 use ddsc_util::Backoff;
 
 use crate::proto::{read_coord_msg, write_worker_msg, CellSpec, CoordMsg, WorkerMsg};
@@ -115,14 +116,7 @@ pub fn run_worker(opts: &WorkerOptions) -> io::Result<WorkerSummary> {
             eprintln!("ddsc worker: coordinator unreachable, exiting");
             return Ok(summary);
         };
-        let _ = stream.set_nodelay(true);
-        // The read timeout bounds how long a worker can hang on a
-        // silent coordinator before treating the session as lost; the
-        // write timeout does the same for a coordinator (or proxy)
-        // that stops draining — either way the session errors out and
-        // the reconnect loop takes over.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+        WORKER_POLICY.apply(&stream);
         let mut reader = BufReader::new(stream.try_clone()?);
         let writer = Arc::new(Mutex::new(stream));
 
@@ -193,8 +187,7 @@ fn connect_with_backoff(opts: &WorkerOptions) -> Option<TcpStream> {
 
 fn send(writer: &Mutex<TcpStream>, msg: &WorkerMsg) -> io::Result<()> {
     let mut stream = writer.lock().expect("worker writer poisoned");
-    write_worker_msg(&mut *stream, msg)?;
-    stream.flush()
+    write_worker_msg(&mut *stream, msg)
 }
 
 /// The request/compute/report loop over one live connection.

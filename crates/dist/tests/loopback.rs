@@ -401,3 +401,69 @@ fn a_finished_grid_stops_counting_heartbeats_as_activity() {
         "the run ended {took:?} after the grid completed"
     );
 }
+
+#[test]
+fn a_worker_that_connects_while_handlers_drain_gets_all_done() {
+    let spec = spec_for("compress", "A", 4, 1000);
+    let body = local_body(&spec);
+    let coord =
+        Coordinator::bind("127.0.0.1:0", vec![spec.clone()], SchedOptions::default()).unwrap();
+    let addr = coord.local_addr();
+    // Not scoped: on a failure the run must not hold the test open.
+    let run = thread::spawn(move || {
+        let merged = Mutex::new(HashMap::new());
+        let quarantines = Mutex::new(Vec::new());
+        collecting_run(coord, &quarantines, &merged)
+    });
+
+    // A silent worker keeps its handler draining after the grid
+    // completes: it is hung up on only after its quiet windows run out.
+    let (silent, _) = hello(addr, 1);
+    // Worker 2 completes the grid and leaves.
+    let (mut w2, id2) = hello(addr, 2);
+    write_worker_msg(&mut w2, &WorkerMsg::Request { worker_id: id2 }).unwrap();
+    let Some(CoordMsg::Assign(leased)) = read_coord_msg(&mut w2).unwrap() else {
+        panic!("expected Assign");
+    };
+    write_worker_msg(
+        &mut w2,
+        &WorkerMsg::Result {
+            worker_id: id2,
+            digest: leased.digest,
+            seconds_bits: 0.0f64.to_bits(),
+            body,
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        read_coord_msg(&mut w2).unwrap(),
+        Some(CoordMsg::Ack)
+    ));
+    drop(w2);
+
+    // Worker 3 connects afterwards, as a worker whose connection was
+    // reset mid-run reconnects: it is still welcomed, and told the grid
+    // is done.
+    let mut w3 = TcpStream::connect(addr).unwrap();
+    w3.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    write_worker_msg(
+        &mut w3,
+        &WorkerMsg::Hello {
+            worker_id: 0,
+            pid: 3,
+        },
+    )
+    .unwrap();
+    let welcome = read_coord_msg(&mut w3);
+    let Ok(Some(CoordMsg::Welcome { worker_id: id3 })) = welcome else {
+        panic!("expected Welcome within 2 s, got {welcome:?}");
+    };
+    write_worker_msg(&mut w3, &WorkerMsg::Request { worker_id: id3 }).unwrap();
+    let answer = read_coord_msg(&mut w3);
+    assert!(
+        matches!(answer, Ok(Some(CoordMsg::AllDone))),
+        "expected AllDone, got {answer:?}"
+    );
+    drop((silent, w3));
+    assert_eq!(run.join().unwrap().cells_completed, 1);
+}

@@ -28,10 +28,11 @@ pub mod loadtest;
 pub mod proto;
 pub mod server;
 
+pub use ddsc_util::net::StopHandle;
 pub use engine::{request_digest, Engine, EngineConfig, JobEvent, Outcome, Submission, WorkerGate};
 pub use loadtest::{run_loadtest, LoadtestConfig, LoadtestReport};
 pub use proto::{
     read_request, read_response, write_request, write_response, Request, Response, StatsSnapshot,
     SubmitRequest, WireError,
 };
-pub use server::{ServeSummary, Server, StopHandle};
+pub use server::{ServeSummary, Server};

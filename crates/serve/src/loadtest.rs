@@ -15,7 +15,7 @@
 //! are the proof that duplicate requests did not re-simulate.
 
 use std::collections::HashSet;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -219,14 +219,11 @@ fn drive_client(
     work: &[&SubmitRequest],
 ) -> Result<Vec<Sample>, Box<dyn std::error::Error>> {
     let stream = TcpStream::connect(addr)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut reader = BufReader::new(&stream);
     let mut samples = Vec::with_capacity(work.len());
     for req in work {
         let start = Instant::now();
-        write_request(&mut writer, &Request::Submit((*req).clone()))?;
-        use std::io::Write as _;
-        writer.flush()?;
+        write_request(&mut &stream, &Request::Submit((*req).clone()))?;
         let kind = loop {
             match read_response(&mut reader)? {
                 None => return Err(Box::new(WireError::Truncated)),
@@ -321,18 +318,14 @@ pub fn run_loadtest(cfg: &LoadtestConfig) -> Result<LoadtestReport, Box<dyn std:
     // One control connection: counters, then the optional shutdown.
     let server = {
         let stream = TcpStream::connect(&cfg.addr)?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = BufWriter::new(stream);
-        use std::io::Write as _;
-        write_request(&mut writer, &Request::Stats)?;
-        writer.flush()?;
+        let mut reader = BufReader::new(&stream);
+        write_request(&mut &stream, &Request::Stats)?;
         let snapshot = match read_response(&mut reader)? {
             Some(Response::Stats(s)) => s,
             other => return Err(format!("expected Stats response, got {other:?}").into()),
         };
         if cfg.shutdown {
-            write_request(&mut writer, &Request::Shutdown)?;
-            writer.flush()?;
+            write_request(&mut &stream, &Request::Shutdown)?;
             let _ = read_response(&mut reader);
         }
         snapshot

@@ -25,6 +25,7 @@ pub mod fxhash;
 pub mod hist;
 pub mod journal;
 pub mod json;
+pub mod net;
 pub mod publish;
 pub mod ring;
 pub mod rng;
